@@ -61,8 +61,6 @@ from .actions import (
     OP_READ,
     OP_RELEASE,
     OP_WRITE,
-    DataVar,
-    Tid,
 )
 from .kernel import MEMO_CAP, EncodedGoldilocks, KInfo
 from .lockset import (
@@ -118,11 +116,6 @@ class BatchGoldilocks(EncodedGoldilocks):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.events = EncodedSyncList(self.events.segment_size, index_keys=True)
-        #: persistent id -> element caches (the interner is append-only,
-        #: so entries never go stale); this is what makes resolution
-        #: per-frame-amortized instead of per-record
-        self._var_cache: Dict[int, DataVar] = {}
-        self._tid_cache: Dict[int, Tid] = {}
         self._np = _active_numpy()
         # With indexed (skip-scan) replay, the full computation visits
         # fewer cells than the owner-pair restricted scan, and a restricted
@@ -133,16 +126,8 @@ class BatchGoldilocks(EncodedGoldilocks):
 
     def __setstate__(self, state: dict) -> None:
         super().__setstate__(state)
-        self._var_cache = {}
-        self._tid_cache = {}
         self._np = _active_numpy()
         self.sc_thread_restricted = False
-
-    def _tid(self, tid_id: int) -> Tid:
-        tid = self._tid_cache.get(tid_id)
-        if tid is None:
-            tid = self._tid_cache[tid_id] = self.interner.resolve(tid_id)
-        return tid
 
     # -- whole-frame application --------------------------------------------------
 
@@ -300,14 +285,12 @@ class BatchGoldilocks(EncodedGoldilocks):
         if filtered:
             stats.accesses_filtered += filtered
         tail = self.events.total_enqueued
-        var_cache = self._var_cache
+        n_ids = len(self.interner)
         for vid, rows in groups.items():
-            var = var_cache.get(vid)
-            if var is None:
+            if vid >= n_ids:
                 r0 = rows[0]
-                var = self._resolve_packed(vid, ops_l[r0], r0, r0)
-                var_cache[vid] = var
-            if not self._packed_owns(vid, var):
+                self._stale_id(vid, ops_l[r0], r0, r0)
+            if not self._packed_owns(vid):
                 continue
             stats.accesses_checked += len(rows)
             tid_id = tids_l[rows[0]]
@@ -316,8 +299,8 @@ class BatchGoldilocks(EncodedGoldilocks):
                 if tids_l[r] != tid_id:
                     same_thread = False
                     break
-            prev_write = self.write_info.get(var)
-            readers = self.read_info.get(var)
+            prev_write = self.write_info.get(vid)
+            readers = self.read_info.get(vid)
             if (
                 same_thread
                 and (prev_write is None or prev_write.owner_id == tid_id)
@@ -326,26 +309,25 @@ class BatchGoldilocks(EncodedGoldilocks):
                     or all(i.owner_id == tid_id for i in readers.values())
                 )
             ):
-                self._settle_same_thread(var, tid_id, rows, ops_l, idx_l)
+                self._settle_same_thread(vid, tid_id, rows, ops_l, idx_l)
                 continue
             if (prev_write is None or prev_write.pos == tail) and (
                 not readers or all(i.pos == tail for i in readers.values())
             ):
                 self._settle_epoch(
-                    var, rows, ops_l, seqs_l, tids_l, idx_l, reports
+                    vid, rows, ops_l, seqs_l, tids_l, idx_l, reports
                 )
                 continue
             # Fallback: scalar handlers, full ladder, normal counters.
             for r in rows:
-                tid = self._tid(tids_l[r])
                 if ops_l[r] == OP_READ:
-                    found = self._handle_read(tid, idx_l[r], var, None)
+                    found = self._handle_read(tids_l[r], idx_l[r], vid, None)
                 else:
-                    found = self._handle_write(tid, idx_l[r], var, None)
+                    found = self._handle_write(tids_l[r], idx_l[r], vid, None)
                 for report in found:
                     reports.append((seqs_l[r], report))
 
-    def _settle_same_thread(self, var, tid_id, rows, ops_l, idx_l) -> None:
+    def _settle_same_thread(self, vid, tid_id, rows, ops_l, idx_l) -> None:
         """One thread owns the variable and every access in the group.
 
         Every happens-before check would hit the same-thread rung, so the
@@ -355,7 +337,8 @@ class BatchGoldilocks(EncodedGoldilocks):
         the scalar handlers exactly (report order depends on it).
         """
         self.stats.sc_batch += len(rows)
-        tid = self._tid(tid_id)
+        fresh = vid not in self.write_info and vid not in self.read_info
+        slot = tid_id << 1  # non-transactional reader slot of this thread
         last_write = -1
         for k in range(len(rows) - 1, -1, -1):
             if ops_l[rows[k]] == OP_WRITE:
@@ -363,32 +346,33 @@ class BatchGoldilocks(EncodedGoldilocks):
                 break
         if last_write >= 0:
             r = rows[last_write]
-            info = self._new_info(tid, idx_l[r], "write", False, 0)
-            readers = self.read_info.pop(var, None)
+            info = self._new_info(tid_id, idx_l[r], "write", False, 0)
+            readers = self.read_info.pop(vid, None)
             if readers:
                 for old in readers.values():
                     self._discard(old)
-            self._discard(self.write_info.get(var))
-            self.write_info[var] = info
+            self._discard(self.write_info.get(vid))
+            self.write_info[vid] = info
             if last_write + 1 < len(rows):  # trailing reads after the write
                 r2 = rows[-1]
-                rinfo = self._new_info(tid, idx_l[r2], "read", False, 0)
-                self.read_info[var] = {(tid, False): rinfo}
+                rinfo = self._new_info(tid_id, idx_l[r2], "read", False, 0)
+                self.read_info[vid] = {slot: rinfo}
         else:  # reads only
             r2 = rows[-1]
-            rinfo = self._new_info(tid, idx_l[r2], "read", False, 0)
-            readers = self.read_info.setdefault(var, {})
-            stale = readers.pop((tid, True), None)
-            if stale is not None:
-                self._discard(stale)
-            self._discard(readers.get((tid, False)))
-            # Plain assignment: an existing (tid, False) slot keeps its
-            # insertion position, exactly like the scalar read handler.
-            readers[(tid, False)] = rinfo
-        self._by_obj.setdefault(var.obj, set()).add(var)
+            rinfo = self._new_info(tid_id, idx_l[r2], "read", False, 0)
+            readers = self.read_info.get(vid)
+            if readers is None:
+                readers = self.read_info[vid] = {}
+            self._discard(readers.pop(slot | 1, None))
+            self._discard(readers.get(slot))
+            # Plain assignment: an existing slot keeps its insertion
+            # position, exactly like the scalar read handler.
+            readers[slot] = rinfo
+        if fresh:
+            self._mark_live(vid)
 
     def _settle_epoch(
-        self, var, rows, ops_l, seqs_l, tids_l, idx_l, reports
+        self, vid, rows, ops_l, seqs_l, tids_l, idx_l, reports
     ) -> None:
         """Every retained info is anchored at the frozen tail.
 
@@ -399,40 +383,44 @@ class BatchGoldilocks(EncodedGoldilocks):
         """
         stats = self.stats
         stats.batch_ops += 1  # one settle decision covers the group
+        write_info = self.write_info
+        read_info = self.read_info
         for r in rows:
-            tid = self._tid(tids_l[r])
+            tid_id = tids_l[r]
             found: List[RaceReport] = []
+            fresh = vid not in write_info and vid not in read_info
             if ops_l[r] == OP_READ:
-                info = self._new_info(tid, idx_l[r], "read", False, 0)
-                prev_write = self.write_info.get(var)
+                info = self._new_info(tid_id, idx_l[r], "read", False, 0)
+                prev_write = write_info.get(vid)
                 if prev_write is not None:
                     stats.sc_batch += 1
                     if not self._hb_epoch(prev_write, info):
-                        found.append(self._report(var, prev_write, info))
+                        found.append(self._report(vid, prev_write, info))
                 if found and self.suppress_racy_updates:
                     self._discard(info)
                     for report in found:
                         reports.append((seqs_l[r], report))
                     continue
-                per_thread = self.read_info.setdefault(var, {})
-                stale = per_thread.pop((tid, True), None)
-                if stale is not None:
-                    self._discard(stale)
-                self._discard(per_thread.get((tid, False)))
-                per_thread[(tid, False)] = info
+                per_thread = read_info.get(vid)
+                if per_thread is None:
+                    per_thread = read_info[vid] = {}
+                slot = tid_id << 1
+                self._discard(per_thread.pop(slot | 1, None))
+                self._discard(per_thread.get(slot))
+                per_thread[slot] = info
             else:
-                info = self._new_info(tid, idx_l[r], "write", False, 0)
-                readers = self.read_info.get(var)
+                info = self._new_info(tid_id, idx_l[r], "write", False, 0)
+                readers = read_info.get(vid)
                 if readers:
                     for reader_info in readers.values():
                         stats.sc_batch += 1
                         if not self._hb_epoch(reader_info, info):
-                            found.append(self._report(var, reader_info, info))
-                prev_write = self.write_info.get(var)
+                            found.append(self._report(vid, reader_info, info))
+                prev_write = write_info.get(vid)
                 if prev_write is not None:
                     stats.sc_batch += 1
                     if not self._hb_epoch(prev_write, info):
-                        found.append(self._report(var, prev_write, info))
+                        found.append(self._report(vid, prev_write, info))
                 if found and self.suppress_racy_updates:
                     self._discard(info)
                     for report in found:
@@ -441,10 +429,11 @@ class BatchGoldilocks(EncodedGoldilocks):
                 if readers:
                     for reader_info in readers.values():
                         self._discard(reader_info)
-                    del self.read_info[var]
+                    del read_info[vid]
                 self._discard(prev_write)
-                self.write_info[var] = info
-            self._by_obj.setdefault(var.obj, set()).add(var)
+                write_info[vid] = info
+            if fresh:
+                self._mark_live(vid)
             for report in found:
                 reports.append((seqs_l[r], report))
 

@@ -23,6 +23,15 @@ same garbage collection -- with the hot loop rebuilt on integers:
     function of ``(position, lockset)``, so Infos anchored at the same
     position with equal locksets reuse one advanced result per round.
 
+Per-variable state is integer-keyed too: ``write_info`` and ``read_info``
+are keyed by interned variable ids, a variable's readers by
+``(tid_id << 1) | xact``, and a :class:`KInfo` keeps the access's index and
+kind rather than an :class:`~repro.core.report.AccessRef`.  Both entry
+points -- :meth:`EncodedGoldilocks.process` for ``Event`` objects and
+:meth:`EncodedGoldilocks.apply_records` for packed records -- feed the same
+id-taking handlers; element objects are resolved only to build a race
+report (and, on the packed path, on an ownership-cache miss).
+
 Race verdicts are identical to the seed detectors by construction (the
 parity suite asserts it on every trace in the repo); only the counters that
 describe *how* a verdict was reached differ.
@@ -40,7 +49,6 @@ from .actions import (
     OP_READ,
     OP_RELEASE,
     OP_WRITE,
-    TL,
     Acquire,
     Alloc,
     Commit,
@@ -52,7 +60,6 @@ from .actions import (
     Obj,
     Read,
     Release,
-    Tid,
     VolatileRead,
     VolatileWrite,
     Write,
@@ -81,10 +88,11 @@ class KInfo:
 
     All hot fields are ints: ``owner_id`` and ``alock_id`` are interned ids,
     ``pos`` is a global position in the encoded list, ``ls`` an encoded
-    lockset.  ``ref`` keeps the human-facing access reference for reports.
+    lockset.  ``index`` and ``kind`` are what a race report needs besides
+    the owner; the :class:`AccessRef` itself is built only when one is.
     """
 
-    __slots__ = ("owner_id", "pos", "ls", "alock_id", "xact", "ref")
+    __slots__ = ("owner_id", "pos", "ls", "alock_id", "xact", "index", "kind")
 
     def __init__(
         self,
@@ -93,17 +101,22 @@ class KInfo:
         ls: IntLockset,
         alock_id: Optional[int],
         xact: bool,
-        ref: AccessRef,
+        index: int,
+        kind: str,
     ) -> None:
         self.owner_id = owner_id
         self.pos = pos
         self.ls = ls
         self.alock_id = alock_id
         self.xact = xact
-        self.ref = ref
+        self.index = index
+        self.kind = kind
 
     def __repr__(self) -> str:
-        return f"<KInfo {self.ref!r} pos={self.pos} ls={self.ls!r} xact={self.xact}>"
+        return (
+            f"<KInfo {self.kind} t#{self.owner_id}@{self.index} pos={self.pos} "
+            f"ls={self.ls!r} xact={self.xact}>"
+        )
 
 
 #: entries the shared memo may hold before it is wholesale cleared
@@ -187,14 +200,16 @@ class EncodedGoldilocks(Detector):
 
         self.interner = Interner()
         self.events = EncodedSyncList(segment_size)
-        self.write_info: Dict[DataVar, KInfo] = {}
-        #: read infos keyed by (thread, transactional?) -- see lazy.py for
-        #: why the two kinds must not subsume each other
-        self.read_info: Dict[DataVar, Dict[Tuple[Tid, bool], KInfo]] = {}
+        #: last-write info per interned variable id
+        self.write_info: Dict[int, KInfo] = {}
+        #: read infos per variable id, keyed by ``(tid_id << 1) | xact`` --
+        #: see lazy.py for why the two kinds must not subsume each other
+        self.read_info: Dict[int, Dict[int, KInfo]] = {}
         #: monitors currently held per thread id, as interned LockVar ids
         self._held: Dict[int, List[int]] = {}
-        #: live variables per object, so alloc is O(fields), not O(heap)
-        self._by_obj: Dict[Obj, Set[DataVar]] = {}
+        #: live variable ids per object, so alloc is O(fields), not O(heap);
+        #: a variable joins when it gets its first info and leaves on alloc
+        self._by_obj: Dict[Obj, Set[int]] = {}
         #: (position, lockset) -> (advanced position, advanced lockset)
         self._memo: Dict[Tuple[int, IntLockset], Tuple[int, IntLockset]] = {}
 
@@ -211,12 +226,14 @@ class EncodedGoldilocks(Detector):
 
     def process(self, event: Event) -> List[RaceReport]:
         action = event.action
-        if isinstance(action, Read):
+        if isinstance(action, (Read, Write)):
             self.stats.accesses_checked += 1
-            return self._handle_read(event.tid, event.index, action.var, None)
-        if isinstance(action, Write):
-            self.stats.accesses_checked += 1
-            return self._handle_write(event.tid, event.index, action.var, None)
+            intern = self.interner.intern
+            tid_id = intern(event.tid)
+            var_id = intern(action.var)
+            if isinstance(action, Read):
+                return self._handle_read(tid_id, event.index, var_id, None)
+            return self._handle_write(tid_id, event.index, var_id, None)
         if isinstance(action, Commit):
             return self._handle_commit(event, action)
         if isinstance(action, Alloc):
@@ -257,91 +274,99 @@ class EncodedGoldilocks(Detector):
 
     def _new_info(
         self,
-        tid: Tid,
+        tid_id: int,
         index: int,
         kind: str,
         xact: bool,
         extra_ls: IntLockset = 0,
     ) -> KInfo:
-        tid_id = self.interner.intern(tid)
-        ls: IntLockset = ls_add(0, tid_id)
+        ls: IntLockset = 1 << tid_id if tid_id < BITSET_CUTOFF else ls_add(0, tid_id)
         if xact:
             # {t, TL} ∪ <outgoing set>, exactly as in the seed detector.
             ls = ls_union(ls_add(ls, TL_ID), extra_ls)
         held = self._held.get(tid_id)
         alock_id = held[-1] if (held and not xact) else None
-        info = KInfo(
-            tid_id, self.events.tail_pos, ls, alock_id, xact,
-            AccessRef(tid, index, kind, xact),
-        )
-        self.events.incref(info.pos)
-        return info
+        events = self.events
+        pos = events.total_enqueued  # the empty tail
+        events.incref(pos)
+        return KInfo(tid_id, pos, ls, alock_id, xact, index, kind)
 
     def _discard(self, info: Optional[KInfo]) -> None:
         if info is not None:
             self.events.decref(info.pos)
 
+    def _mark_live(self, var_id: int) -> None:
+        """Index a variable that just got its first info under its object."""
+        obj = self.interner.resolve(var_id).obj
+        self._by_obj.setdefault(obj, set()).add(var_id)
+
     def _handle_read(
         self,
-        tid: Tid,
+        tid_id: int,
         index: int,
-        var: DataVar,
+        var_id: int,
         txn_extra: Optional[IntLockset],
     ) -> List[RaceReport]:
         """A read is checked against the last write only (cf. lazy.py)."""
         xact = txn_extra is not None
-        info = self._new_info(tid, index, "read", xact, txn_extra or 0)
+        info = self._new_info(tid_id, index, "read", xact, txn_extra or 0)
         reports: List[RaceReport] = []
-        prev_write = self.write_info.get(var)
-        if prev_write is None and var not in self.read_info:
+        prev_write = self.write_info.get(var_id)
+        per_thread = self.read_info.get(var_id)
+        fresh = prev_write is None and per_thread is None
+        if fresh:
             self.stats.sc_fresh += 1
-        if prev_write is not None and not self._check_happens_before(prev_write, info):
-            reports.append(self._report(var, prev_write, info))
-        if reports and self.suppress_racy_updates:
-            self._discard(info)  # the access is being suppressed
-            return reports
-        per_thread = self.read_info.setdefault(var, {})
+        elif prev_write is not None and not self._check_happens_before(prev_write, info):
+            reports.append(self._report(var_id, prev_write, info))
+            if self.suppress_racy_updates:
+                self._discard(info)  # the access is being suppressed
+                return reports
+        if per_thread is None:
+            per_thread = self.read_info[var_id] = {}
+        slot = (tid_id << 1) | xact
         if not xact:
-            stale = per_thread.pop((tid, True), None)
-            self._discard(stale)
-        self._discard(per_thread.get((tid, xact)))
-        per_thread[(tid, xact)] = info
-        self._by_obj.setdefault(var.obj, set()).add(var)
+            self._discard(per_thread.pop(slot | 1, None))
+        self._discard(per_thread.get(slot))
+        per_thread[slot] = info
+        if fresh:
+            self._mark_live(var_id)
         return reports
 
     def _handle_write(
         self,
-        tid: Tid,
+        tid_id: int,
         index: int,
-        var: DataVar,
+        var_id: int,
         txn_extra: Optional[IntLockset],
     ) -> List[RaceReport]:
         """A write is checked against the last write and all reads since it."""
         xact = txn_extra is not None
-        info = self._new_info(tid, index, "write", xact, txn_extra or 0)
+        info = self._new_info(tid_id, index, "write", xact, txn_extra or 0)
         reports: List[RaceReport] = []
-        prev_write = self.write_info.get(var)
-        readers = self.read_info.get(var)
-        if prev_write is None and not readers:
+        prev_write = self.write_info.get(var_id)
+        readers = self.read_info.get(var_id)
+        fresh = prev_write is None and not readers
+        if fresh:
             self.stats.sc_fresh += 1
         if readers:
             for reader_info in readers.values():
                 if not self._check_happens_before(reader_info, info):
-                    reports.append(self._report(var, reader_info, info))
+                    reports.append(self._report(var_id, reader_info, info))
         if prev_write is not None:
             if not self._check_happens_before(prev_write, info):
-                reports.append(self._report(var, prev_write, info))
+                reports.append(self._report(var_id, prev_write, info))
         if reports and self.suppress_racy_updates:
             self._discard(info)  # the access is being suppressed
             return reports
         if readers:
             for reader_info in readers.values():
                 self._discard(reader_info)
-            del self.read_info[var]
+            del self.read_info[var_id]
         if prev_write is not None:
             self._discard(prev_write)
-        self.write_info[var] = info
-        self._by_obj.setdefault(var.obj, set()).add(var)
+        self.write_info[var_id] = info
+        if fresh:
+            self._mark_live(var_id)
         return reports
 
     def _handle_commit(self, event: Event, action: Commit) -> List[RaceReport]:
@@ -361,14 +386,8 @@ class EncodedGoldilocks(Detector):
         reports: List[RaceReport] = []
         for var in self._commit_vars(action):
             self.stats.accesses_checked += 1
-            if var in action.writes:
-                reports.extend(
-                    self._handle_write(event.tid, event.index, var, outgoing_ls)
-                )
-            else:
-                reports.extend(
-                    self._handle_read(event.tid, event.index, var, outgoing_ls)
-                )
+            handle = self._handle_write if var in action.writes else self._handle_read
+            reports.extend(handle(tid_id, event.index, intern(var), outgoing_ls))
         self._maybe_collect()
         return reports
 
@@ -378,8 +397,11 @@ class EncodedGoldilocks(Detector):
 
     # -- packed ingestion (the encode-once path) ---------------------------------
 
-    def _packed_owns(self, var_id: int, var: DataVar) -> bool:
-        """Data-access ownership filter for packed frames (sharding overrides)."""
+    def _packed_owns(self, var_id: int) -> bool:
+        """Data-access ownership filter for packed frames (sharding overrides).
+
+        Called only with ids already bounds-checked against the interner.
+        """
         return True
 
     def apply_packed(self, frame: bytes) -> Tuple[List[Tuple[int, RaceReport]], int]:
@@ -390,9 +412,11 @@ class EncodedGoldilocks(Detector):
         encoded list verbatim -- no ``Event`` is ever constructed and no
         sync payload is decoded (the edge already did it, once).  Commits
         arrive as footprint id lists in the frame's extras; their gain
-        locksets are rebuilt from ids alone.  Only data/commit *accesses*
-        resolve ids back to :class:`DataVar` (O(1) table lookups), because
-        the kernel's per-variable state is keyed by variable objects.
+        locksets are rebuilt from ids alone.  Data and commit accesses stay
+        in id space as well -- the kernel's per-variable state is keyed by
+        interned variable ids -- so a :class:`DataVar` is resolved only for
+        a race report, on a sharded ownership-cache miss, and when a
+        variable first becomes live (to index it under its object).
         """
         from .encode import decode_frame, extend_interner
 
@@ -416,6 +440,10 @@ class EncodedGoldilocks(Detector):
         """
         if 0 <= eid < len(self.interner):
             return self.interner.resolve(eid)
+        self._stale_id(eid, op, record, applied)
+
+    def _stale_id(self, eid: int, op: int, record: int, applied: int) -> None:
+        """Raise the typed fault for an id outside the replica's range."""
         from .encode import FrameFormatError
 
         self.stats.frame_faults += 1
@@ -438,7 +466,7 @@ class EncodedGoldilocks(Detector):
         .FrameFormatError` carrying the record offset and the number of
         records fully applied before the fault.
         """
-        resolve = self.interner.resolve
+        n_ids = len(self.interner)
         reports: List[Tuple[int, RaceReport]] = []
         count = 0
         for i in range(0, len(records), 6):
@@ -462,16 +490,16 @@ class EncodedGoldilocks(Detector):
                     self.stats.accesses_filtered += 1
                     count += 1
                     continue
-                var = self._resolve_packed(a, op, i // 6, count)
-                if not self._packed_owns(a, var):
+                if a >= n_ids:
+                    self._stale_id(a, op, i // 6, count)
+                if not self._packed_owns(a):
                     count += 1
                     continue
                 self.stats.accesses_checked += 1
-                tid = resolve(tid_id)
                 if op == OP_READ:
-                    found = self._handle_read(tid, index, var, None)
+                    found = self._handle_read(tid_id, index, a, None)
                 else:
-                    found = self._handle_write(tid, index, var, None)
+                    found = self._handle_write(tid_id, index, a, None)
                 for report in found:
                     reports.append((seq, report))
             elif op == OP_COMMIT:
@@ -567,21 +595,22 @@ class EncodedGoldilocks(Detector):
         row = self.events.add_commit_row(incoming_ls, outgoing_ls, tid_id)
         self.events.enqueue_encoded(OP_COMMIT, tid_id, row, 0)
         reports: List[Tuple[int, RaceReport]] = []
-        tid = self.interner.resolve(tid_id)
+        n_ids = len(self.interner)
         # extras arrive in the canonical (obj, field) order of _commit_vars
         for j in range(offset + 1, end, 2):
             var_id = extras[j]
             if var_id < 0:
                 self.stats.accesses_filtered += 1
                 continue
-            var = self._resolve_packed(var_id, OP_COMMIT, record, applied)
-            if not self._packed_owns(var_id, var):
+            if var_id >= n_ids:
+                self._stale_id(var_id, OP_COMMIT, record, applied)
+            if not self._packed_owns(var_id):
                 continue
             self.stats.accesses_checked += 1
             if extras[j + 1]:
-                found = self._handle_write(tid, index, var, outgoing_ls)
+                found = self._handle_write(tid_id, index, var_id, outgoing_ls)
             else:
-                found = self._handle_read(tid, index, var, outgoing_ls)
+                found = self._handle_read(tid_id, index, var_id, outgoing_ls)
             for report in found:
                 reports.append((seq, report))
         self._maybe_collect()
@@ -592,11 +621,11 @@ class EncodedGoldilocks(Detector):
         live = self._by_obj.pop(obj, None)
         if not live:
             return
-        for var in live:
-            info = self.write_info.pop(var, None)
+        for var_id in live:
+            info = self.write_info.pop(var_id, None)
             if info is not None:
                 self._discard(info)
-            per_thread = self.read_info.pop(var, None)
+            per_thread = self.read_info.pop(var_id, None)
             if per_thread is not None:
                 for info in per_thread.values():
                     self._discard(info)
@@ -757,13 +786,19 @@ class EncodedGoldilocks(Detector):
             pos = base + limit
         return ls
 
-    def _report(self, var: DataVar, info1: KInfo, info2: KInfo) -> RaceReport:
+    def _access_ref(self, info: KInfo) -> AccessRef:
+        """The human-facing side of a race, built only when one is reported."""
+        return AccessRef(
+            self.interner.resolve(info.owner_id), info.index, info.kind, info.xact
+        )
+
+    def _report(self, var_id: int, info1: KInfo, info2: KInfo) -> RaceReport:
         self.stats.races += 1
         provenance = self._derive_provenance(info1, info2) if self.provenance else None
         return RaceReport(
-            var=var,
-            first=info1.ref,
-            second=info2.ref,
+            var=self.interner.resolve(var_id),
+            first=self._access_ref(info1),
+            second=self._access_ref(info2),
             detector=self.name,
             provenance=provenance,
         )
@@ -898,8 +933,10 @@ class EncodedGoldilocks(Detector):
 
     # Positions are stored as (segment, slot) pairs and locksets in their
     # canonical packed form, so a checkpoint is byte-stable: restoring and
-    # re-checkpointing yields the identical blob.  The shared memo and the
-    # per-object index are derived state and deliberately absent.
+    # re-checkpointing yields the identical blob.  Infos are keyed by
+    # variable id and reader slot, as in memory; each info tuple still ends
+    # in its AccessRef.  The shared memo and the per-object index are
+    # derived state and deliberately absent.
 
     def __getstate__(self) -> dict:
         size = self.events.segment_size
@@ -911,7 +948,7 @@ class EncodedGoldilocks(Detector):
                 ls_pack(info.ls),
                 info.alock_id,
                 info.xact,
-                info.ref,
+                self._access_ref(info),
             )
 
         return {
@@ -952,18 +989,37 @@ class EncodedGoldilocks(Detector):
         self._held = state["held"]
         self._memo = {}
         size = self.events.segment_size
+        intern = self.interner.intern
 
         def unpack(packed: tuple) -> KInfo:
             owner_id, (seg, slot), ls, alock_id, xact, ref = packed
-            return KInfo(owner_id, seg * size + slot, ls_unpack(ls), alock_id, xact, ref)
+            return KInfo(
+                owner_id, seg * size + slot, ls_unpack(ls), alock_id, xact,
+                ref.index, ref.kind,
+            )
 
-        self.write_info = {var: unpack(p) for var, p in state["write_info"].items()}
+        # Checkpoints written before the kernel went integer-keyed carry
+        # DataVar keys and (Tid, xact) reader keys; both map through the
+        # interner (interning a variable the replica never saw is harmless:
+        # the id is fresh and the next checkpoint records it).
+        def var_key(key) -> int:
+            return key if type(key) is int else intern(key)
+
+        def reader_key(key) -> int:
+            if type(key) is int:
+                return key
+            tid, xact = key
+            return (intern(tid) << 1) | xact
+
+        self.write_info = {
+            var_key(var): unpack(p) for var, p in state["write_info"].items()
+        }
         self.read_info = {
-            var: {key: unpack(p) for key, p in per_thread.items()}
+            var_key(var): {reader_key(key): unpack(p) for key, p in per_thread.items()}
             for var, per_thread in state["read_info"].items()
         }
         self._by_obj = {}
-        for var in self.write_info:
-            self._by_obj.setdefault(var.obj, set()).add(var)
-        for var in self.read_info:
-            self._by_obj.setdefault(var.obj, set()).add(var)
+        for var_id in self.write_info:
+            self._mark_live(var_id)
+        for var_id in self.read_info:
+            self._mark_live(var_id)

@@ -156,6 +156,11 @@ class LifecycleTracer:
             buckets=LATENCY_BUCKETS,
             labels=("stage",),
         )
+        # Labelled children bound per stage on first use, not up front: a
+        # child exists in the exposition from its creation on, so binding
+        # lazily keeps /metrics identical to calling labels() every time.
+        self._event_children: Dict[str, object] = {}
+        self._latency_children: Dict[str, object] = {}
         self._spans_sampled = self.registry.counter(
             "spans_sampled_total", "batches written to the span log"
         )
@@ -183,16 +188,21 @@ class LifecycleTracer:
         """Record an already-computed stage duration (engine batch paths)."""
         if self.disabled or not self.config.counters:
             return
-        self._counts[stage] += n
-        self._stage_events.labels(stage).inc(n)
-        self._stage_latency.labels(stage).observe(elapsed)
+        self.count(stage, n)
+        latency = self._latency_children.get(stage)
+        if latency is None:
+            latency = self._latency_children[stage] = self._stage_latency.labels(stage)
+        latency.observe(elapsed)
 
     def count(self, stage: str, n: int = 1) -> None:
         """Bump a stage counter without timing (deterministic-only hook)."""
         if self.disabled or not self.config.counters:
             return
         self._counts[stage] += n
-        self._stage_events.labels(stage).inc(n)
+        events = self._event_children.get(stage)
+        if events is None:
+            events = self._event_children[stage] = self._stage_events.labels(stage)
+        events.inc(n)
 
     def stage_counts(self) -> Dict[str, int]:
         return dict(self._counts)

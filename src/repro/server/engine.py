@@ -32,13 +32,16 @@ Since the encode-once rework the engine has two transports
 
 ``"packed"`` (default)
     Events are translated once at the edge (:class:`~repro.core.encode.
-    EventEncoder`) into flat integer records; shard batches travel as
-    single immutable frame ``bytes`` (sync records broadcast as the same
-    buffer content, never N pickled copies), encoded-kernel shards append
-    sync records verbatim via :meth:`EncodedGoldilocks.apply_packed`, and
-    races come back as packed int rows reconstituted to
-    :class:`RaceReport` only here at the edge.  Seed-kernel shards decode
-    frames back to Events at the shard boundary -- parity, not speed.
+    EventEncoder`) into flat integer records.  Inline packed-kernel
+    shards receive each batch's interner delta and record arrays directly
+    (:meth:`EncodedGoldilocks.ingest_delta` + ``apply_records``); process
+    workers receive it as one immutable frame ``bytes`` (sync records
+    broadcast as the same buffer content, never N pickled copies) through
+    :meth:`EncodedGoldilocks.apply_packed`.  Either way sync records are
+    appended verbatim, and races from process workers come back as packed
+    int rows reconstituted to :class:`RaceReport` only here at the edge.
+    Seed-kernel shards decode frames back to Events at the shard
+    boundary -- parity, not speed.
 
 ``"object"``
     The original path: ``Event`` dataclasses, pickled per batch.  Kept as
@@ -146,11 +149,13 @@ class _PartitionMixin:
     def _commit_vars(self, action: Commit) -> List[DataVar]:
         return [var for var in super()._commit_vars(action) if self.owns(var)]  # type: ignore[misc]
 
-    def _packed_owns(self, var_id: int, var: DataVar) -> bool:
+    def _packed_owns(self, var_id: int) -> bool:
         # Same crc32 partition, but decided once per variable *id*: packed
-        # frames guarantee stable ids, so the route is a dict hit.
+        # frames guarantee stable ids, so the route is a dict hit and the
+        # variable is resolved only on a miss.
         cached = self._own_cache.get(var_id)
         if cached is None:
+            var = self.interner.resolve(var_id)  # type: ignore[attr-defined]
             cached = self._own_cache[var_id] = self.owns(var)
         return cached
 
@@ -189,9 +194,9 @@ class PartitionedBatchGoldilocks(_PartitionMixin, BatchGoldilocks):
 
     Same verdicts as :class:`PartitionedGoldilocks` (race lines are
     byte-identical, seq included); frames are applied at run/column
-    granularity instead of record-at-a-time, and on the inline packed
-    transport the engine skips framing entirely (:meth:`ShardedEngine
-    ._push` hands the shard buffer straight to ``apply_records``).
+    granularity instead of record-at-a-time.  Like every packed kernel on
+    the inline transport, it receives the shard buffer straight through
+    ``ingest_delta`` + ``apply_records`` (:meth:`ShardedEngine._push`).
     """
 
 
@@ -578,7 +583,7 @@ class ShardedEngine:
                     for g in self._slot_groups
                 ]
             self._decoders = [
-                FrameDecoder() if self._packed and not hasattr(d, "apply_packed") else None
+                FrameDecoder() if self._packed and not hasattr(d, "apply_records") else None
                 for d in self._detectors
             ]
         else:
@@ -930,25 +935,20 @@ class ShardedEngine:
             buffer, self._pbuffers[shard] = self._pbuffers[shard], _PackedBuffer()
             n_events = buffer.count
             inline = self.config.workers == "inline"
-            fused = inline and isinstance(self._detectors[shard], BatchGoldilocks)
+            cursor = self._cursors[shard]
+            delta = self._encoder.interner.elements_since(cursor)
+            self._cursors[shard] = len(self._encoder.interner)
+            # Fused routing+apply: an in-process packed kernel consumes raw
+            # record arrays, so building (and immediately re-parsing) a
+            # framed byte buffer is pure overhead -- hand the interner delta
+            # and the arrays over directly.  Process workers need bytes, and
+            # seed shards decode frames back to Events.
+            fused = inline and self._decoders[shard] is None
             if fused:
-                # Fused routing+apply: the shard is in-process and consumes
-                # raw columns, so building (and immediately re-parsing) a
-                # framed byte buffer is pure overhead -- hand the interner
-                # delta and the record arrays over directly.
-                cursor = self._cursors[shard]
-                delta = self._encoder.interner.elements_since(cursor)
-                self._cursors[shard] = len(self._encoder.interner)
                 self.queue_bytes += 8 * (len(buffer.records) + len(buffer.extras))
                 frame = None
             else:
-                frame = encode_frame(
-                    self._cursors[shard],
-                    self._encoder.interner.elements_since(self._cursors[shard]),
-                    buffer.records,
-                    buffer.extras,
-                )
-                self._cursors[shard] = len(self._encoder.interner)
+                frame = encode_frame(cursor, delta, buffer.records, buffer.extras)
                 self.queue_bytes += len(frame)
             self._sent_events[shard] += n_events
             if self.recorder is not None:
@@ -973,8 +973,6 @@ class ShardedEngine:
                         reports, n = detector.apply_records(
                             buffer.records, buffer.extras
                         )
-                    elif decoder is None:
-                        reports, n = detector.apply_packed(frame)
                     else:
                         before = decoder.sync_decoded
                         reports = []
@@ -1190,7 +1188,7 @@ class ShardedEngine:
             for detector in self._detectors:
                 detector.reset()
             self._decoders = [
-                FrameDecoder() if self._packed and not hasattr(d, "apply_packed") else None
+                FrameDecoder() if self._packed and not hasattr(d, "apply_records") else None
                 for d in self._detectors
             ]
         else:
@@ -1336,7 +1334,7 @@ class ShardedEngine:
             self._detectors.append(detector)
             self._decoders.append(
                 FrameDecoder()
-                if self._packed and not hasattr(detector, "apply_packed")
+                if self._packed and not hasattr(detector, "apply_records")
                 else None
             )
         else:

@@ -52,6 +52,31 @@ class TestGating:
         events = tracer.registry.family("stage_events_total").labels("apply")
         assert events.value == 4
 
+    def test_stage_children_bind_on_first_use(self):
+        """Cached per-stage children appear in the exposition exactly when
+        a per-call ``labels()`` lookup would have created them."""
+        tracer = LifecycleTracer(ObsConfig())
+        latency = tracer.registry.family("stage_latency_seconds")
+        events = tracer.registry.family("stage_events_total")
+        empty = tracer.registry.render()
+        assert not latency.children and not events.children
+        tracer.count("report", 2)
+        assert list(events.children) == [("report",)]
+        assert not latency.children  # counting alone never binds a histogram
+        tracer.observe_elapsed("apply", 0.01)
+        tracer.observe_elapsed("apply", 0.02, n=3)
+        assert latency.labels("apply").count == 2
+        assert events.labels("apply").value == 4
+
+        reference = LifecycleTracer(ObsConfig())
+        assert reference.registry.render() == empty
+        reference._stage_events.labels("report").inc(2)
+        reference._stage_events.labels("apply").inc(1)
+        reference._stage_latency.labels("apply").observe(0.01)
+        reference._stage_events.labels("apply").inc(3)
+        reference._stage_latency.labels("apply").observe(0.02)
+        assert tracer.registry.render() == reference.registry.render()
+
 
 class TestSampling:
     @pytest.mark.parametrize(

@@ -7,8 +7,8 @@ through every ingestion mode twice -- baseline and ``--admit``:
 
 * ``offline`` -- ``repro-race analyze`` semantics: the default detector
   over the (optionally pre-filtered) event list;
-* ``service_text`` -- the streaming service, object/text path, 4 inline
-  shards;
+* ``service_text`` -- the streaming service fed ``Event`` objects, 4
+  inline shards;
 * ``service_binary`` -- the packed wire path over loopback TCP: the
   client ships *everything*, the server drops by interned id;
 * ``cluster_1node`` / ``cluster_2node`` -- the multi-node coordinator

@@ -1,38 +1,27 @@
-"""End-to-end service-ingest benchmark: text wire vs the packed binary path.
+"""End-to-end service-ingest benchmark: the text wire vs the binary wire.
 
 ``python -m repro.bench ingest --json`` replays one fixed synthetic trace
-through the streaming service three ways and writes
+through the streaming service two ways and writes
 ``BENCH_service_ingest.json`` (committed at the repo root, like the
 detector-throughput artifact):
 
-* ``text-object``   -- text lines, Events pickled to the shards (the
-  pre-encode-once baseline);
 * ``text-packed``   -- text lines, encoded once at the ingestion edge into
-  packed integer frames;
+  packed integer records;
 * ``binary-packed`` -- the opt-in binary wire: length-prefixed packed
-  frames consumed without ever constructing ``Event`` objects;
-* ``text-packed-batch`` / ``binary-packed-batch`` -- the same packed paths
-  on the batch-vectorized kernel (``kernel="batch"``), which applies each
-  frame at run/column granularity; on inline workers the engine fuses
-  routing and apply (no intermediate framed buffer at all).
+  frames consumed without ever constructing ``Event`` objects.
 
 Wall-clock fields (``elapsed_sec``, ``events_per_sec``) are
-environment-dependent and only indicative.  The comparison the suite
-asserts is the deterministic **cost model**::
+environment-dependent and only indicative.  Next to them each mode records
+the deterministic **cost model**::
 
     cost = queue_bytes + 64 * edge_allocs        (per mode, whole trace)
 
-``queue_bytes`` counts every byte shipped to the shards (pickled batches
-or packed frames) and ``edge_allocs`` counts per-event object
-materializations at the ingestion edge (one per Event in object mode; one
-per *newly seen* element in packed mode).  Both are exact counters, so the
-speedup they imply holds on any host, including single-core CI runners.
-``sync_decoded`` is recorded per mode to prove the encode-once claim:
-encoded-kernel shards on the packed transport materialize **zero** sync
-events.  ``detector_work`` (the kernels' deterministic work counter,
-summed over shards) is recorded per mode, and ``kernel_work_reduction``
-compares the batch kernel against the record-at-a-time kernel on the same
-frames -- the batch kernel's acceptance gate.
+``queue_bytes`` counts the payload shipped to the shards and
+``edge_allocs`` counts object materializations at the ingestion edge (one
+per *newly seen* element).  Both are exact counters, and so is
+``detector_work`` (the kernel's deterministic work counter, summed over
+shards): they are regression guards, and the two wires must agree on all
+of them as well as on the race lines.
 """
 
 from __future__ import annotations
@@ -63,14 +52,10 @@ N_SHARDS = 4
 #: cost charged per edge allocation, in queue-byte equivalents
 ALLOC_COST_BYTES = 64
 
-#: (mode name, wire, transport, kernel) in presentation order; text-object
-#: first -- it is the baseline every speedup is measured against
-MODES: Tuple[Tuple[str, str, str, str], ...] = (
-    ("text-object", "text", "object", "encoded"),
-    ("text-packed", "text", "packed", "encoded"),
-    ("binary-packed", "binary", "packed", "encoded"),
-    ("text-packed-batch", "text", "packed", "batch"),
-    ("binary-packed-batch", "binary", "packed", "batch"),
+#: (mode name, wire) in presentation order
+MODES: Tuple[Tuple[str, str], ...] = (
+    ("text-packed", "text"),
+    ("binary-packed", "binary"),
 )
 
 
@@ -129,9 +114,9 @@ def _wire_bytes(text: str) -> bytes:
 
 
 def _run_mode(
-    wire: str, transport: str, kernel: str, text: str, repeats: int
+    wire: str, text: str, repeats: int
 ) -> Tuple[Dict[str, object], List[str]]:
-    """One (wire, transport, kernel) pass; returns (counters, race lines)."""
+    """One pass over ``wire``; returns (counters, race lines)."""
     binary_wire = _wire_bytes(text) if wire == "binary" else b""
     best = None
     races: List[str] = []
@@ -141,8 +126,6 @@ def _run_mode(
             ServiceConfig(
                 n_shards=N_SHARDS,
                 workers="inline",
-                kernel=kernel,
-                transport=transport,
                 flush_interval=0,
             )
         )
@@ -168,14 +151,11 @@ def _run_mode(
         detector_work = sum(shard.detector_work for shard in stats.shards)
         row = {
             "wire": wire,
-            "transport": transport,
-            "kernel": kernel,
             "events": events,
             "races": stats.races_reported,
             "parse_errors": stats.parse_errors,
             "queue_bytes": stats.queue_bytes,
             "edge_allocs": stats.edge_allocs,
-            "sync_decoded": stats.sync_decoded,
             "detector_work": detector_work,
             "cost": cost,
             "cost_per_event": round(cost / events, 2) if events else None,
@@ -192,44 +172,20 @@ def bench_ingest(repeats: int = 1) -> Dict[str, object]:
     text = generate_trace_text()
     modes: Dict[str, Dict[str, object]] = {}
     race_lines: Dict[str, List[str]] = {}
-    for name, wire, transport, kernel in MODES:
-        modes[name], race_lines[name] = _run_mode(
-            wire, transport, kernel, text, repeats
-        )
-    baseline = modes["text-object"]["cost"]
-    speedups = {
-        name: round(baseline / modes[name]["cost"], 4)
-        for name, _, _, _ in MODES
-        if name != "text-object"
-    }
-    # The batch kernel's gate: counted detector work vs the record-at-a-time
-    # kernel consuming the identical frames (same wire, same transport).
-    kernel_work_reduction = {
-        "text": round(
-            modes["text-packed"]["detector_work"]
-            / modes["text-packed-batch"]["detector_work"],
-            4,
-        ),
-        "binary": round(
-            modes["binary-packed"]["detector_work"]
-            / modes["binary-packed-batch"]["detector_work"],
-            4,
-        ),
-    }
-    reference = race_lines["text-object"]
+    for name, wire in MODES:
+        modes[name], race_lines[name] = _run_mode(wire, text, repeats)
+    reference = race_lines["text-packed"]
     return {
         "benchmark": "service_ingest",
         "trace": {
             "generator": TRACE_PARAMS,
             "seed": TRACE_SEED,
-            "events": modes["text-object"]["events"],
+            "events": modes["text-packed"]["events"],
             "text_bytes": len(text.encode("utf-8")),
         },
         "n_shards": N_SHARDS,
         "cost_model": f"queue_bytes + {ALLOC_COST_BYTES} * edge_allocs",
         "modes": modes,
-        "speedup_vs_text_object": speedups,
-        "kernel_work_reduction": kernel_work_reduction,
         "parity": {
             # identical races *and* identical seq tags, every mode
             "identical_race_lines": all(
@@ -246,18 +202,14 @@ def render_ingest(payload: Dict[str, object]) -> str:
         f"Service ingest on {payload['trace']['events']} events, "
         f"{payload['n_shards']} shards (cost = {payload['cost_model']}):",
         f"{'mode':<19} {'events/sec':>12} {'queue bytes':>12} {'allocs':>8} "
-        f"{'sync dec':>9} {'det work':>9} {'cost/ev':>9}",
+        f"{'det work':>9} {'cost/ev':>9}",
     ]
     for name, row in payload["modes"].items():
         lines.append(
             f"{name:<19} {row['events_per_sec']:>12} {row['queue_bytes']:>12} "
-            f"{row['edge_allocs']:>8} {row['sync_decoded']:>9} "
-            f"{row['detector_work']:>9} {row['cost_per_event']:>9}"
+            f"{row['edge_allocs']:>8} {row['detector_work']:>9} "
+            f"{row['cost_per_event']:>9}"
         )
-    for name, speedup in payload["speedup_vs_text_object"].items():
-        lines.append(f"{name} vs text-object: {speedup}x cheaper by counters")
-    for wire, ratio in payload["kernel_work_reduction"].items():
-        lines.append(f"batch kernel vs encoded ({wire} wire): {ratio}x less counted work")
     parity = payload["parity"]
     lines.append(
         f"parity: {parity['races']} races, identical across modes = "

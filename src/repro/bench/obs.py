@@ -15,8 +15,7 @@ repo root, like the other benchmark artifacts):
 * ``trace-on``      -- counters plus trace-context stamping on spans.
 
 The claim the suite asserts is deterministic: **observability must add
-zero detector work**.  Every mode runs the identical trace on the packed
-transport, so per-shard ``detector_work`` (the kernel's deterministic
+zero detector work**.  Every mode runs the identical trace, so per-shard ``detector_work`` (the kernel's deterministic
 cost counter), the ingest cost model ``queue_bytes + 64 * edge_allocs``,
 and the race lines (including seq tags) must be byte-identical across
 modes -- instrumentation only ever reads clocks and appends to
@@ -83,8 +82,6 @@ def _run_mode(mode: str, text: str, repeats: int) -> Tuple[Dict[str, object], Li
                 ServiceConfig(
                     n_shards=N_SHARDS,
                     workers="inline",
-                    kernel="encoded",
-                    transport="packed",
                     flush_interval=0,
                     obs=_obs_config(mode, span_log),
                 )

@@ -691,8 +691,8 @@ class EventEncoder:
 
 
 # The handlers below mirror ``parse_event``'s exact laxness (positional
-# access, trailing tokens ignored) so both transports agree line-for-line on
-# what counts as a parse error.
+# access, trailing tokens ignored) so the encoder and ``parse_event`` agree
+# line-for-line on what counts as a parse error.
 
 
 def _line_data(op):
@@ -761,18 +761,16 @@ _LINE_HANDLERS = {
 }
 
 
-# -- frame decoding back to Events (seed shards, object-mode wire ingest) -------
+# -- frame decoding back to Events (the frame format's round-trip oracle) -------
 
 
 class FrameDecoder:
     """Reconstitutes :class:`Event` objects from packed frames.
 
-    Used where objects are unavoidable: a shard running the *seed* kernel
-    (parity, not speed) and object-transport ingestion of binary wire
-    frames.  ``sync_decoded`` counts every sync/alloc/commit record that
-    had to be materialized -- the counter that proves encoded-kernel shards
-    do **zero** per-event sync decoding in packed mode (it stays 0 there
-    because this class is never instantiated on that path).
+    The detection path never decodes frames back to objects; this class
+    is the round-trip oracle the tests hold the frame format to.
+    ``sync_decoded`` counts every sync/alloc/commit record it had to
+    materialize.
     """
 
     def __init__(self) -> None:
@@ -793,7 +791,7 @@ class FrameDecoder:
             op, seq, tid_id, index, a, b = records[i : i + RECORD_WIDTH]
             if a == FILTERED_VAR and (op == OP_READ or op == OP_WRITE):
                 # admission-filtered access: no variable to resolve, and
-                # nothing for an object-mode consumer to check
+                # nothing for an Event consumer to check
                 continue
             tid = resolve(tid_id)
             if op == OP_READ:

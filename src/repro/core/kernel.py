@@ -425,7 +425,7 @@ class EncodedGoldilocks(Detector):
         return self.apply_records(records, extras)
 
     def ingest_delta(self, base: int, delta) -> None:
-        """Apply an interner delta without a framed buffer (fused transport)."""
+        """Apply an interner delta without a framed buffer (inline shards)."""
         from .encode import extend_interner
 
         extend_interner(self.interner, base, delta)
@@ -460,8 +460,6 @@ class EncodedGoldilocks(Detector):
     ) -> Tuple[List[Tuple[int, RaceReport]], int]:
         """Apply decoded ``(records, extras)`` arrays record-at-a-time.
 
-        This is the scalar reference path; :class:`repro.core.batch
-        .BatchGoldilocks` overrides it with run-partitioned processing.
         A malformed record raises :class:`~repro.core.encode
         .FrameFormatError` carrying the record offset and the number of
         records fully applied before the fault.

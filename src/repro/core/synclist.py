@@ -27,10 +27,10 @@ list primitives).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .actions import OP_COMMIT, Action, Tid
-from .lockset import ls_ids, ls_pack, ls_unpack
+from .actions import Action, Tid
+from .lockset import ls_pack, ls_unpack
 
 
 class Cell:
@@ -293,9 +293,7 @@ class EncodedSyncList:
     at enqueue so replay never touches action objects.
     """
 
-    def __init__(
-        self, segment_size: int = SEGMENT_SIZE, index_keys: bool = False
-    ) -> None:
+    def __init__(self, segment_size: int = SEGMENT_SIZE) -> None:
         if segment_size < 1:
             raise ValueError("segment_size must be positive")
         self.segment_size = segment_size
@@ -313,15 +311,6 @@ class EncodedSyncList:
         self._refs: Dict[int, int] = {}
         #: per-thread-id sorted position lists (restricted traversal index)
         self._by_tid: Dict[int, List[int]] = {}
-        #: opt-in (batch kernel): per-rule-key position indexes so a full
-        #: replay can visit only the cells whose rule *can* fire.  Simple
-        #: sync rows index by ``key``; a commit row (whose ``key`` is a
-        #: commit-table index, not an element id) is indexed under every
-        #: id that can trigger one of its rules -- each incoming id (the
-        #: intersection rule) plus the committer (the union rule) -- so a
-        #: lockset that could never fire it never visits it.
-        self.index_keys = index_keys
-        self._by_key: Dict[int, List[int]] = {}
 
     # -- appends ---------------------------------------------------------------
 
@@ -339,62 +328,8 @@ class EncodedSyncList:
             segment = self.segments[seg_index] = _Segment()
         segment.append(op, tid_id, key, gain)
         self._by_tid.setdefault(tid_id, []).append(pos)
-        if self.index_keys:
-            self._index_row(pos, op, key)
         self.total_enqueued = pos + 1
         return pos
-
-    def _index_row(self, pos: int, op: int, key: int) -> None:
-        """Add one row to the per-key index (requires ``index_keys``)."""
-        by_key = self._by_key
-        if op != OP_COMMIT:
-            by_key.setdefault(key, []).append(pos)
-            return
-        incoming, _outgoing, committer = self.commit_table[key]
-        by_key.setdefault(committer, []).append(pos)
-        for eid in ls_ids(incoming):
-            if eid != committer:
-                by_key.setdefault(eid, []).append(pos)
-
-    def enqueue_run(
-        self,
-        ops: Sequence[int],
-        tids: Sequence[int],
-        keys: Sequence[int],
-        gains: Sequence[int],
-    ) -> int:
-        """Append a whole run of pre-encoded events; returns the first position.
-
-        Segment payloads are extended chunk-at-a-time instead of one
-        ``append`` per column per event -- the batch kernel's enqueue
-        primitive for the sync runs it carves out of a frame.
-        """
-        n = len(ops)
-        first = self.total_enqueued
-        size = self.segment_size
-        i = 0
-        pos = first
-        while i < n:
-            seg_index = pos // size
-            segment = self.segments.get(seg_index)
-            if segment is None:
-                segment = self.segments[seg_index] = _Segment()
-            take = min(size - len(segment), n - i)
-            segment.ops.extend(ops[i : i + take])
-            segment.tids.extend(tids[i : i + take])
-            segment.keys.extend(keys[i : i + take])
-            segment.gains.extend(gains[i : i + take])
-            i += take
-            pos += take
-        by_tid = self._by_tid
-        index_keys = self.index_keys
-        for off in range(n):
-            p = first + off
-            by_tid.setdefault(tids[off], []).append(p)
-            if index_keys:
-                self._index_row(p, ops[off], keys[off])
-        self.total_enqueued = first + n
-        return first
 
     def add_commit_row(self, incoming: object, outgoing: object, tid_id: int) -> int:
         """Register a commit's encoded footprint; returns its table index."""
@@ -431,19 +366,6 @@ class EncodedSyncList:
             return []
         return positions[bisect_left(positions, start):]
 
-    def key_positions(self, key: int, start: int) -> Tuple[List[int], int]:
-        """Positions whose rule can fire for ``key``, from ``start`` on.
-
-        Simple-sync rows whose rule key is ``key``, plus commit rows with
-        ``key`` among their incoming ids or as their committer.  Returns
-        ``(the shared ascending list, first index >= start)`` so callers
-        can walk it without copying.  Requires ``index_keys``.
-        """
-        positions = self._by_key.get(key)
-        if not positions:
-            return [], 0
-        return positions, bisect_left(positions, start)
-
     # -- garbage collection -------------------------------------------------------
 
     def collect_prefix(self) -> int:
@@ -470,15 +392,15 @@ class EncodedSyncList:
             self.head_pos += freed
             self.total_collected += freed
             head = self.head_pos
-            for index in (self._by_tid, self._by_key):
-                for key, positions in list(index.items()):
-                    cut = bisect_left(positions, head)
-                    if cut:
-                        remaining = positions[cut:]
-                        if remaining:
-                            index[key] = remaining
-                        else:
-                            del index[key]
+            by_tid = self._by_tid
+            for tid_id, positions in list(by_tid.items()):
+                cut = bisect_left(positions, head)
+                if cut:
+                    remaining = positions[cut:]
+                    if remaining:
+                        by_tid[tid_id] = remaining
+                    else:
+                        del by_tid[tid_id]
         return freed
 
     # -- pickling -----------------------------------------------------------------
@@ -491,7 +413,6 @@ class EncodedSyncList:
     def __getstate__(self) -> dict:
         return {
             "segment_size": self.segment_size,
-            "index_keys": self.index_keys,
             "head_pos": self.head_pos,
             "total_enqueued": self.total_enqueued,
             "total_collected": self.total_collected,
@@ -508,7 +429,6 @@ class EncodedSyncList:
 
     def __setstate__(self, state: dict) -> None:
         self.segment_size = state["segment_size"]
-        self.index_keys = state.get("index_keys", False)
         self.head_pos = state["head_pos"]
         self.total_enqueued = state["total_enqueued"]
         self.total_collected = state["total_collected"]
@@ -526,18 +446,11 @@ class EncodedSyncList:
         ]
         self._refs = dict(state["refs"])
         self._by_tid = {}
-        self._by_key = {}
         size = self.segment_size
-        index_keys = self.index_keys
         for index, segment in sorted(self.segments.items()):
             base = index * size
-            ops = segment.ops
-            keys = segment.keys
             for slot, tid_id in enumerate(segment.tids):
-                pos = base + slot
-                self._by_tid.setdefault(tid_id, []).append(pos)
-                if index_keys:
-                    self._index_row(pos, ops[slot], keys[slot])
+                self._by_tid.setdefault(tid_id, []).append(base + slot)
 
     def __len__(self) -> int:
         """Retained events (enqueued minus collected)."""

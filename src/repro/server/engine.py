@@ -9,8 +9,7 @@ their locksets) is private to that variable.  So the engine
   fork/join, commits) and allocations to every shard -- each shard keeps an
   identical replica of the synchronization-event list;
 * **hash-partitions** data reads/writes by variable across ``n_shards``
-  workers, each worker owning the :class:`LazyGoldilocks` state for its
-  partition.
+  workers, each worker owning the detector state for its partition.
 
 A shard's verdicts are then *identical* to an unsharded detector's: a data
 access for variable ``v`` never mutates anything another variable's checks
@@ -24,30 +23,21 @@ Workers run either **in-process** (``workers="inline"``, deterministic and
 dependency-free: ideal for tests and the cost-model benchmark) or as
 **separate processes** (``workers="process"``, ``multiprocessing`` queues,
 sidestepping the GIL so detection scales with cores).  Batching amortizes
-queue/pickling overhead; bounded task queues give backpressure: when a
-shard falls behind, ``submit`` blocks instead of buffering unboundedly.
+queue overhead; bounded task queues give backpressure: when a shard falls
+behind, ``submit`` blocks instead of buffering unboundedly.
 
-Since the encode-once rework the engine has two transports
-(:attr:`EngineConfig.transport`):
-
-``"packed"`` (default)
-    Events are translated once at the edge (:class:`~repro.core.encode.
-    EventEncoder`) into flat integer records.  Inline packed-kernel
-    shards receive each batch's interner delta and record arrays directly
-    (:meth:`EncodedGoldilocks.ingest_delta` + ``apply_records``); process
-    workers receive it as one immutable frame ``bytes`` (sync records
-    broadcast as the same buffer content, never N pickled copies) through
-    :meth:`EncodedGoldilocks.apply_packed`.  Either way sync records are
-    appended verbatim, and races from process workers come back as packed
-    int rows reconstituted to :class:`RaceReport` only here at the edge.
-    Seed-kernel shards decode frames back to Events at the shard
-    boundary -- parity, not speed.
-
-``"object"``
-    The original path: ``Event`` dataclasses, pickled per batch.  Kept as
-    the A/B lever for the ingest benchmark and for bisecting packed-path
-    regressions.  Batches are explicitly pickled in *both* worker modes so
-    ``queue_bytes`` measures the same thing inline as across processes.
+Every shard runs :class:`~repro.core.kernel.EncodedGoldilocks` and every
+batch travels in one packed form.  Events are translated once at the edge
+(:class:`~repro.core.encode.EventEncoder`) into flat integer records.
+Inline shards receive each batch's interner delta and record arrays
+directly (:meth:`EncodedGoldilocks.ingest_delta` + ``apply_records``);
+process workers receive it as one immutable frame ``bytes`` (sync records
+broadcast as the same buffer content, never N pickled copies) through
+:meth:`EncodedGoldilocks.apply_packed`.  Either way sync records are
+appended verbatim, and races from process workers come back as packed int
+rows reconstituted to :class:`RaceReport` only here at the edge.  Inline
+versus process is the only axis; the offline :class:`~repro.core.lazy.
+LazyGoldilocks` stays the reference the tests compare against.
 
 Variable-to-shard routing uses CRC32, not ``hash()``: Python string hashes
 are salted per process, and the router and workers must agree.  In packed
@@ -78,14 +68,11 @@ from ..core.actions import (
     Event,
     Read,
     Write,
-    is_data_access,
 )
-from ..core.batch import BatchGoldilocks
 from ..core.encode import (
     FILTERED_VAR,
     RECORD_WIDTH,
     EventEncoder,
-    FrameDecoder,
     FrameFormatError,
     decode_frame,
     decode_interner_snapshot,
@@ -98,12 +85,10 @@ from ..core.encode import (
     unpack_reports,
 )
 from ..core.kernel import EncodedGoldilocks
-from ..core.lazy import LazyGoldilocks
 from ..core.report import RaceReport
 from ..core.stats import detector_work_of, short_circuit_rate_of
 from ..obs.flightrec import FlightRecorder
 from ..obs.tracing import LifecycleTracer, ObsConfig
-from ..trace.io import parse_event
 from .protocol import format_race
 from .stats import ServiceStats, ShardStats
 
@@ -119,8 +104,8 @@ def shard_of(var: DataVar, n_shards: int) -> int:
     return zlib.crc32(key) % n_shards
 
 
-class _PartitionMixin:
-    """Partition ownership layered over either Goldilocks implementation.
+class PartitionedGoldilocks(EncodedGoldilocks):
+    """One hash partition of the variables, on the integer-encoded kernel.
 
     Synchronization events must be fed to every partition (they are cheap:
     one list append); data accesses only to the owning one.  Accesses that
@@ -144,10 +129,10 @@ class _PartitionMixin:
         action = event.action
         if isinstance(action, (Read, Write)) and not self.owns(action.var):
             return []
-        return super().process(event)  # type: ignore[misc]
+        return super().process(event)
 
     def _commit_vars(self, action: Commit) -> List[DataVar]:
-        return [var for var in super()._commit_vars(action) if self.owns(var)]  # type: ignore[misc]
+        return [var for var in super()._commit_vars(action) if self.owns(var)]
 
     def _packed_owns(self, var_id: int) -> bool:
         # Same crc32 partition, but decided once per variable *id*: packed
@@ -155,60 +140,25 @@ class _PartitionMixin:
         # variable is resolved only on a miss.
         cached = self._own_cache.get(var_id)
         if cached is None:
-            var = self.interner.resolve(var_id)  # type: ignore[attr-defined]
+            var = self.interner.resolve(var_id)
             cached = self._own_cache[var_id] = self.owns(var)
         return cached
 
     # The base reset() re-invokes __init__ from the stored detector kwargs;
     # prepend our partition coordinates.
     def reset(self) -> None:
-        self.__init__(self.shard_id, self.n_shards, **self._config)  # type: ignore[attr-defined]
+        self.__init__(self.shard_id, self.n_shards, **self._config)
 
     def __getstate__(self) -> dict:
-        state = super().__getstate__()  # type: ignore[misc]
+        state = super().__getstate__()
         state["partition"] = (self.shard_id, self.n_shards)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.shard_id, self.n_shards = state.pop("partition")
-        super().__setstate__(state)  # type: ignore[misc]
+        super().__setstate__(state)
         self.label = f"shard {self.shard_id}/{self.n_shards}"
         self._own_cache = {}
-
-
-class PartitionedGoldilocks(_PartitionMixin, EncodedGoldilocks):
-    """One hash partition of the variables, on the integer-encoded kernel.
-
-    This is what the engine runs by default; set ``EngineConfig.kernel`` to
-    ``"seed"`` for the reference implementation (A/B comparisons, bisecting
-    kernel regressions).
-    """
-
-
-class PartitionedSeedGoldilocks(_PartitionMixin, LazyGoldilocks):
-    """The same partition discipline on the seed ``LazyGoldilocks``."""
-
-
-class PartitionedBatchGoldilocks(_PartitionMixin, BatchGoldilocks):
-    """The partition discipline on the batch-vectorized frame kernel.
-
-    Same verdicts as :class:`PartitionedGoldilocks` (race lines are
-    byte-identical, seq included); frames are applied at run/column
-    granularity instead of record-at-a-time.  Like every packed kernel on
-    the inline transport, it receives the shard buffer straight through
-    ``ingest_delta`` + ``apply_records`` (:meth:`ShardedEngine._push`).
-    """
-
-
-#: engine kernels selectable via :attr:`EngineConfig.kernel`
-PARTITION_KERNELS = {
-    "encoded": PartitionedGoldilocks,
-    "seed": PartitionedSeedGoldilocks,
-    "batch": PartitionedBatchGoldilocks,
-}
-
-#: engine transports selectable via :attr:`EngineConfig.transport`
-TRANSPORTS = ("packed", "object")
 
 
 @dataclass
@@ -225,11 +175,6 @@ class EngineConfig:
     #: forwarded to each shard's detector
     commit_sync: str = "footprint"
     gc_threshold: Optional[int] = 50_000
-    #: "encoded" (the integer kernel, default), "batch" (whole-frame
-    #: vectorized application of the same kernel), or "seed" (reference lazy)
-    kernel: str = "encoded"
-    #: "packed" (encode-once frames, default) or "object" (pickled Events)
-    transport: str = "packed"
     #: observability tunables; None means the :class:`ObsConfig` defaults
     #: (stage counters on, span sampling off, flight recorder ring on but
     #: not writing files)
@@ -254,22 +199,9 @@ class EngineConfig:
 
     def detector_kwargs(self) -> dict:
         kwargs = {"commit_sync": self.commit_sync, "gc_threshold": self.gc_threshold}
-        # Race provenance is an integer-kernel feature; the seed reference
-        # detector takes no such kwarg and never needs one (A/B parity is
-        # judged on race lines, which provenance never alters).
-        if (
-            self.kernel in ("encoded", "batch")
-            and self.obs is not None
-            and self.obs.provenance
-        ):
+        if self.obs is not None and self.obs.provenance:
             kwargs["provenance"] = True
         return kwargs
-
-    def detector_class(self):
-        try:
-            return PARTITION_KERNELS[self.kernel]
-        except KeyError:
-            raise ValueError(f"unknown engine kernel {self.kernel!r}") from None
 
 
 class _PackedBuffer:
@@ -286,12 +218,10 @@ class _PackedBuffer:
 class WireIngest:
     """Per-connection state for ingesting binary wire frames.
 
-    Wire frames carry *client-assigned* interner ids.  For the packed
-    transport each newly announced element is interned once into the
-    engine's master interner and the id translation is remembered, so
-    records are rewritten int-for-int -- still no ``Event`` objects.  For
-    the object transport the connection keeps a :class:`FrameDecoder` and
-    the engine ingests reconstituted Events (the A/B-comparable path).
+    Wire frames carry *client-assigned* interner ids.  Each newly announced
+    element is interned once into the engine's master interner and the id
+    translation is remembered, so records are rewritten int-for-int --
+    still no ``Event`` objects.
 
     In cluster node mode no remapping happens at all -- the node adopts the
     coordinator's id space verbatim -- and ``replay_group``, when set by the
@@ -299,19 +229,17 @@ class WireIngest:
     one hosted group (the migration delta-replay path).
     """
 
-    __slots__ = ("remap", "decoder", "replay_group")
+    __slots__ = ("remap", "replay_group")
 
-    def __init__(self, transport: str) -> None:
+    def __init__(self) -> None:
         self.remap: List[int] = [0]  # client id 0 is TL on both sides
-        self.decoder = FrameDecoder() if transport == "object" else None
         self.replay_group: Optional[int] = None
 
 
 def _shard_worker(
-    shard_id, n_shards, kernel, transport, detector_kwargs, blob, task_q, result_q,
-    timed=False,
+    shard_id, n_shards, detector_kwargs, blob, task_q, result_q, timed=False
 ):
-    """Worker-process main loop: apply batches, acknowledge with results.
+    """Worker-process main loop: apply frames, acknowledge with results.
 
     With ``timed`` (set when the engine's lifecycle tracer is enabled) each
     batch ack carries the wall-clock apply duration as its last element, so
@@ -321,54 +249,39 @@ def _shard_worker(
     if blob is not None:
         detector = pickle.loads(blob)
     else:
-        detector = PARTITION_KERNELS[kernel](shard_id, n_shards, **detector_kwargs)
-    packed_kernel = hasattr(detector, "apply_packed") and transport == "packed"
-    decoder = FrameDecoder() if (transport == "packed" and not packed_kernel) else None
-    sync_decoded = 0
+        detector = PartitionedGoldilocks(shard_id, n_shards, **detector_kwargs)
     try:
         while True:
             msg = task_q.get()
             kind = msg[0]
             if kind == "frame":
                 t_apply = time.perf_counter() if timed else 0.0
-                if packed_kernel:
-                    try:
-                        reports, n = detector.apply_packed(msg[1])
-                    except FrameFormatError as exc:
-                        # A malformed frame must not kill the worker (the
-                        # router would hang at the next barrier waiting for
-                        # this ack).  Acknowledge the batch as an error;
-                        # ``applied`` says how much of it took effect.
-                        result_q.put(
-                            (
-                                "ack",
-                                shard_id,
-                                exc.applied or 0,
-                                ("err", (str(exc), exc.kind, exc.record,
-                                         exc.applied or 0)),
-                                detector.stats.as_dict(),
-                                sync_decoded,
-                                time.perf_counter() - t_apply if timed else 0.0,
-                            )
+                try:
+                    reports, n = detector.apply_packed(msg[1])
+                except FrameFormatError as exc:
+                    # A malformed frame must not kill the worker (the
+                    # router would hang at the next barrier waiting for
+                    # this ack).  Acknowledge the batch as an error;
+                    # ``applied`` says how much of it took effect.
+                    result_q.put(
+                        (
+                            "ack",
+                            shard_id,
+                            exc.applied or 0,
+                            ("err", (str(exc), exc.kind, exc.record,
+                                     exc.applied or 0)),
+                            detector.stats.as_dict(),
+                            time.perf_counter() - t_apply if timed else 0.0,
                         )
-                        continue
-                    payload = (
-                        "packed",
-                        [
-                            pack_report(seq, report, detector.interner)
-                            for seq, report in reports
-                        ],
                     )
-                else:
-                    before = decoder.sync_decoded
-                    obj_reports: List[SeqReport] = []
-                    n = 0
-                    for seq, event in decoder.decode_payload(msg[1]):
-                        n += 1
-                        for report in detector.process(event):
-                            obj_reports.append((seq, report))
-                    sync_decoded += decoder.sync_decoded - before
-                    payload = ("obj", obj_reports)
+                    continue
+                payload = (
+                    "packed",
+                    [
+                        pack_report(seq, report, detector.interner)
+                        for seq, report in reports
+                    ],
+                )
                 apply_sec = time.perf_counter() - t_apply if timed else 0.0
                 result_q.put(
                     (
@@ -377,28 +290,6 @@ def _shard_worker(
                         n,
                         payload,
                         detector.stats.as_dict(),
-                        sync_decoded,
-                        apply_sec,
-                    )
-                )
-            elif kind == "obatch":
-                t_apply = time.perf_counter() if timed else 0.0
-                batch = pickle.loads(msg[1])
-                reports: List[SeqReport] = []
-                for seq, event in batch:
-                    if not is_data_access(event.action):
-                        sync_decoded += 1
-                    for report in detector.process(event):
-                        reports.append((seq, report))
-                apply_sec = time.perf_counter() - t_apply if timed else 0.0
-                result_q.put(
-                    (
-                        "ack",
-                        shard_id,
-                        len(batch),
-                        ("obj", reports),
-                        detector.stats.as_dict(),
-                        sync_decoded,
                         apply_sec,
                     )
                 )
@@ -406,16 +297,13 @@ def _shard_worker(
                 result_q.put(("checkpoint", shard_id, detector.checkpoint()))
             elif kind == "reset":
                 detector.reset()
-                if decoder is not None:
-                    decoder = FrameDecoder()
                 result_q.put(
                     (
                         "ack",
                         shard_id,
                         0,
-                        ("obj", []),
+                        ("packed", []),
                         detector.stats.as_dict(),
-                        sync_decoded,
                         0.0,
                     )
                 )
@@ -452,13 +340,8 @@ class ShardedEngine:
             raise ValueError("need at least one shard")
         if self.config.workers not in ("process", "inline"):
             raise ValueError(f"unknown worker mode {self.config.workers!r}")
-        if self.config.transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {self.config.transport!r}")
-        if node_mode:
-            if self.config.n_groups < 1:
-                raise ValueError("node mode needs at least one global group")
-            if self.config.transport != "packed":
-                raise ValueError("cluster node mode requires the packed transport")
+        if node_mode and self.config.n_groups < 1:
+            raise ValueError("node mode needs at least one global group")
         #: the global partition count: cluster-wide groups in node mode,
         #: local shards otherwise (variable -> partition is crc32 % this)
         self._partitions = (
@@ -483,9 +366,7 @@ class ShardedEngine:
         self._closed = False
         self._checkpoints: Dict[int, bytes] = {}
         self._reports: List[SeqReport] = []
-        self._packed = self.config.transport == "packed"
-        self._buffers: List[List[Tuple[int, Event]]] = [[] for _ in range(n)]
-        self._pbuffers: List[_PackedBuffer] = [_PackedBuffer() for _ in range(n)]
+        self._buffers: List[_PackedBuffer] = [_PackedBuffer() for _ in range(n)]
         self._encoder = EventEncoder(self._partitions, admit=self.config.admit)
         self._cursors = [1] * n  # every replica interner starts with just TL
         #: node mode: data records for groups this node does not host
@@ -505,22 +386,18 @@ class ShardedEngine:
             # the pre-checkpoint barrier they are all equal to the master),
             # so the restored engine reuses the original id assignments, and
             # re-sync every shard cursor from its *checkpointed* position
-            # instead of 1 -- a restored encoded shard gets an empty delta on
-            # its first frame rather than a full interner re-send.  Seed
-            # shards decode through a fresh FrameDecoder whose replica starts
-            # empty, so their cursor genuinely is 1.
-            if self.config.kernel in ("encoded", "batch"):
-                master = max((d.interner for d in restored), key=len)
-                self._encoder.prime(master)
-                self._cursors = [
-                    max(1, min(len(d.interner), len(master))) for d in restored
-                ]
+            # instead of 1 -- a restored shard gets an empty delta on its
+            # first frame rather than a full interner re-send.
+            master = max((d.interner for d in restored), key=len)
+            self._encoder.prime(master)
+            self._cursors = [
+                max(1, min(len(d.interner), len(master))) for d in restored
+            ]
         self._sent_batches = [0] * n
         self._acked_batches = [0] * n
         self._sent_events = [0] * n
         self._acked_events = [0] * n
         self._shard_stats: List[Dict[str, int]] = [{} for _ in range(n)]
-        self._sync_decoded = [0] * n
         # ingestion counters surfaced in ServiceStats
         self.events_ingested = 0
         self.sync_broadcast = 0
@@ -530,9 +407,9 @@ class ShardedEngine:
         self.data_filtered = 0
         self.batches_flushed = 0
         self.backpressure_stalls = 0
-        #: bytes shipped to shards (frame bytes, or pickled batch bytes;
-        #: the fused inline path counts the raw record/extra ints it hands
-        #: over, so the meaning -- payload shipped to a shard -- is stable)
+        #: bytes shipped to shards (frame bytes; the fused inline path
+        #: counts the raw record/extra ints it hands over, so the meaning
+        #: -- payload shipped to a shard -- is the same in both worker modes)
         self.queue_bytes = 0
         #: frame-application faults (malformed frames a shard rejected);
         #: drained by the service into its parse-error ring
@@ -547,25 +424,22 @@ class ShardedEngine:
         #: (a coordinator-minted id); None until one arrives, in which
         #: case locally pushed batches mint their own ids when tracing
         self._trace_ctx: Optional[int] = None
-        #: per-event object materializations forced by the object transport
-        self._object_allocs = 0
         # -- observability: lifecycle tracer plus the race flight recorder.
         # The tracer degrades to no-ops when fully disabled; the recorder
-        # rides the packed transport only (it stores packed frames verbatim)
-        # and never writes files unless a dump directory is configured.  Node
+        # stores packed frames verbatim and never writes files unless a
+        # dump directory is configured.  Node
         # mode skips the recorder: its per-shard rings assume a fixed shard
         # count, and hosted groups come and go with migrations.
         self.obs_config = self.config.obs or ObsConfig()
         self.tracer = LifecycleTracer(self.obs_config)
         self.recorder: Optional[FlightRecorder] = None
-        if self._packed and self.obs_config.flightrec and not node_mode:
+        if self.obs_config.flightrec and not node_mode:
             self.recorder = FlightRecorder(
                 n,
                 self._encoder.interner,
                 capacity=self.obs_config.flightrec_capacity,
                 directory=self.obs_config.flightrec_dir,
                 max_dumps=self.obs_config.flightrec_max_dumps,
-                kernel=self.config.kernel,
                 commit_sync=self.config.commit_sync,
             )
         #: per-shard FIFO of in-flight batches: (ordinal, events, sent-at,
@@ -573,19 +447,16 @@ class ShardedEngine:
         self._inflight: List[Deque[Tuple[int, int, float, Optional[dict]]]] = [
             deque() for _ in range(n)
         ]
-        detector_cls = self.config.detector_class()
         if self.config.workers == "inline":
             if restored is not None:
                 self._detectors = restored
             else:
                 self._detectors = [
-                    detector_cls(g, self._partitions, **self.config.detector_kwargs())
+                    PartitionedGoldilocks(
+                        g, self._partitions, **self.config.detector_kwargs()
+                    )
                     for g in self._slot_groups
                 ]
-            self._decoders = [
-                FrameDecoder() if self._packed and not hasattr(d, "apply_records") else None
-                for d in self._detectors
-            ]
         else:
             ctx = mp.get_context()
             self._result_q = ctx.Queue()
@@ -598,8 +469,6 @@ class ShardedEngine:
                     args=(
                         g,
                         self._partitions,
-                        self.config.kernel,
-                        self.config.transport,
                         self.config.detector_kwargs(),
                         checkpoints[i] if checkpoints is not None else None,
                         self._task_qs[i],
@@ -619,12 +488,9 @@ class ShardedEngine:
     def edge_allocs(self) -> int:
         """Per-event allocation proxy: what ingestion *had* to materialize.
 
-        Packed transport: one per newly seen element (steady state ~0/event).
-        Object transport: one per event (the unavoidable ``Event``).
+        One per newly seen element, so ~0 per event in steady state.
         """
-        if self._packed:
-            return self._encoder.cache_misses
-        return self._object_allocs
+        return self._encoder.cache_misses
 
     def submit(self, event: Event, seq: Optional[int] = None) -> int:
         """Route one event; returns its ingestion sequence number.
@@ -634,52 +500,19 @@ class ShardedEngine:
         shard's buffer.  Full buffers are pushed; a full task queue blocks
         (backpressure) until the shard catches up.
         """
-        if self._packed:
-            op, tid_id, index, a, b, extras = self._encoder.encode_event(event)
-            return self._ingest_record(op, tid_id, index, a, b, extras, seq)
-        if seq is None:
-            seq = self._seq
-        self._seq = seq + 1
-        self.events_ingested += 1
-        self._object_allocs += 1
-        action = event.action
-        if is_data_access(action):
-            admit = self.config.admit
-            if admit is not None and not admit.admit(
-                action.var.obj.value, action.var.field
-            ):
-                # filtered access: consumes its seq (race-line parity)
-                # but is shipped to no shard
-                admit.note_filtered(action.var.obj.value, action.var.field)
-                self.data_filtered += 1
-                self._drain(block=False)
-                return seq
-            self.data_routed += 1
-            self.data_admitted += 1
-            targets: Sequence[int] = (shard_of(action.var, self.config.n_shards),)
-        else:
-            self.sync_broadcast += 1
-            targets = range(self.config.n_shards)
-        for shard in targets:
-            buffer = self._buffers[shard]
-            buffer.append((seq, event))
-            if len(buffer) >= self.config.batch_size:
-                self._push(shard)
-        self._drain(block=False)
-        return seq
+        op, tid_id, index, a, b, extras = self._encoder.encode_event(event)
+        return self._ingest_record(op, tid_id, index, a, b, extras, seq)
 
     def submit_line(self, line: str) -> int:
         """Ingest one trace text line.
 
-        On the packed transport this is the encode-once fast path: the line
-        becomes an integer record directly, constructing zero dataclasses
-        in steady state.  Raises on malformed input (before any caches are
-        touched), mirroring :func:`repro.trace.io.parse_event`.
+        This is the encode-once fast path: the line becomes an integer
+        record directly, constructing zero dataclasses in steady state.
+        Raises on malformed input (before any caches are touched),
+        mirroring :func:`repro.trace.io.parse_event`.
         """
-        if self._packed:
-            op, tid_id, index, a, b, extras = self._encoder.encode_line(line)
-            return self._ingest_record(op, tid_id, index, a, b, extras, None)
-        return self.submit(parse_event(line))
+        op, tid_id, index, a, b, extras = self._encoder.encode_line(line)
+        return self._ingest_record(op, tid_id, index, a, b, extras, None)
 
     def _ingest_record(
         self,
@@ -730,7 +563,7 @@ class ShardedEngine:
             self.sync_broadcast += 1
             targets = range(len(self._slot_groups))
         for shard in targets:
-            buffer = self._pbuffers[shard]
+            buffer = self._buffers[shard]
             if extras is None:
                 local_a = a
             else:
@@ -766,12 +599,6 @@ class ShardedEngine:
         trace_id, payload = split_trace(payload)
         if trace_id is not None:
             self._trace_ctx = trace_id
-        if state.decoder is not None:  # object transport: reconstitute
-            count = 0
-            for _seq, event in state.decoder.decode_payload(payload):
-                self.submit(event)
-                count += 1
-            return count
         if self.config.node_mode:
             return self._ingest_node_frame(payload, state)
         base, delta, records, extras = decode_frame(payload)
@@ -890,15 +717,12 @@ class ShardedEngine:
 
     def wire_state(self) -> WireIngest:
         """Fresh per-connection state for :meth:`submit_wire_frame`."""
-        return WireIngest(self.config.transport)
+        return WireIngest()
 
     def flush(self) -> None:
         """Push every non-empty batch buffer to its shard."""
         for shard in range(len(self._slot_groups)):
-            if self._packed:
-                if self._pbuffers[shard].count:
-                    self._push(shard)
-            elif self._buffers[shard]:
+            if self._buffers[shard].count:
                 self._push(shard)
         self._drain(block=False)
 
@@ -931,101 +755,60 @@ class ShardedEngine:
         self._sent_batches[shard] += 1
         tracer = self.tracer
         t_route = tracer.clock()
-        if self._packed:
-            buffer, self._pbuffers[shard] = self._pbuffers[shard], _PackedBuffer()
-            n_events = buffer.count
-            inline = self.config.workers == "inline"
-            cursor = self._cursors[shard]
-            delta = self._encoder.interner.elements_since(cursor)
-            self._cursors[shard] = len(self._encoder.interner)
-            # Fused routing+apply: an in-process packed kernel consumes raw
-            # record arrays, so building (and immediately re-parsing) a
-            # framed byte buffer is pure overhead -- hand the interner delta
-            # and the arrays over directly.  Process workers need bytes, and
-            # seed shards decode frames back to Events.
-            fused = inline and self._decoders[shard] is None
-            if fused:
-                self.queue_bytes += 8 * (len(buffer.records) + len(buffer.extras))
-                frame = None
-            else:
-                frame = encode_frame(cursor, delta, buffer.records, buffer.extras)
-                self.queue_bytes += len(frame)
-            self._sent_events[shard] += n_events
-            if self.recorder is not None:
-                # The buffer's arrays would be garbage after this point;
-                # the flight recorder adopts them instead (no copy).  On
-                # the fused path this happens *before* apply, so a frame
-                # the kernel later faults on is still in the ring.
-                self.recorder.record(shard, buffer.records, buffer.extras)
-            route_sec = tracer.clock() - t_route
-            tracer.observe_elapsed("route", route_sec)
-            span = self._make_span(ordinal, n_events, route_sec)
-            self._inflight[shard].append((ordinal, n_events, tracer.clock(), span))
-            if inline:
-                detector = self._detectors[shard]
-                decoder = self._decoders[shard]
-                t_apply = tracer.clock()
-                # Never raise between the in-flight append and the ack --
-                # an escaped exception would wedge the next barrier().
-                try:
-                    if fused:
-                        detector.ingest_delta(cursor, delta)
-                        reports, n = detector.apply_records(
-                            buffer.records, buffer.extras
-                        )
-                    else:
-                        before = decoder.sync_decoded
-                        reports = []
-                        n = 0
-                        for seq, event in decoder.decode_payload(frame):
-                            n += 1
-                            for report in detector.process(event):
-                                reports.append((seq, report))
-                        self._sync_decoded[shard] += decoder.sync_decoded - before
-                except FrameFormatError as exc:
-                    self.apply_errors.append(
-                        f"<frame rejected by shard {self._slot_groups[shard]}: "
-                        f"{exc} ({exc.applied or 0}/{n_events} records applied)>"
-                    )
-                    self.apply_faults.append(
-                        {
-                            "message": str(exc),
-                            "kind": exc.kind,
-                            "record": exc.record,
-                            "applied": exc.applied or 0,
-                            "shard": self._slot_groups[shard],
-                        }
-                    )
-                    reports, n = [], exc.applied or 0
-                apply_sec = tracer.clock() - t_apply
-                self._apply_ack_inline(shard, n, reports, detector, apply_sec)
-                return
-            message = ("frame", frame)
+        buffer, self._buffers[shard] = self._buffers[shard], _PackedBuffer()
+        n_events = buffer.count
+        inline = self.config.workers == "inline"
+        cursor = self._cursors[shard]
+        delta = self._encoder.interner.elements_since(cursor)
+        self._cursors[shard] = len(self._encoder.interner)
+        # Fused routing+apply: an in-process shard consumes raw record
+        # arrays, so building (and immediately re-parsing) a framed byte
+        # buffer is pure overhead -- hand the interner delta and the arrays
+        # over directly.  Process workers need bytes.
+        if inline:
+            self.queue_bytes += 8 * (len(buffer.records) + len(buffer.extras))
+            frame = None
         else:
-            batch, self._buffers[shard] = self._buffers[shard], []
-            n_events = len(batch)
-            self._sent_events[shard] += n_events
-            # The object transport pays its pickling cost in both worker
-            # modes, so queue_bytes means the same thing everywhere.
-            blob = pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
-            self.queue_bytes += len(blob)
-            route_sec = tracer.clock() - t_route
-            tracer.observe_elapsed("route", route_sec)
-            span = self._make_span(ordinal, n_events, route_sec)
-            self._inflight[shard].append((ordinal, n_events, tracer.clock(), span))
-            if self.config.workers == "inline":
-                detector = self._detectors[shard]
-                t_apply = tracer.clock()
-                reports = []
-                for seq, event in pickle.loads(blob):
-                    if not is_data_access(event.action):
-                        self._sync_decoded[shard] += 1
-                    for report in detector.process(event):
-                        reports.append((seq, report))
-                apply_sec = tracer.clock() - t_apply
-                self._apply_ack_inline(shard, n_events, reports, detector, apply_sec)
-                return
-            message = ("obatch", blob)
+            frame = encode_frame(cursor, delta, buffer.records, buffer.extras)
+            self.queue_bytes += len(frame)
+        self._sent_events[shard] += n_events
+        if self.recorder is not None:
+            # The buffer's arrays would be garbage after this point;
+            # the flight recorder adopts them instead (no copy).  On
+            # the fused path this happens *before* apply, so a frame
+            # the kernel later faults on is still in the ring.
+            self.recorder.record(shard, buffer.records, buffer.extras)
+        route_sec = tracer.clock() - t_route
+        tracer.observe_elapsed("route", route_sec)
+        span = self._make_span(ordinal, n_events, route_sec)
+        self._inflight[shard].append((ordinal, n_events, tracer.clock(), span))
+        if inline:
+            detector = self._detectors[shard]
+            t_apply = tracer.clock()
+            # Never raise between the in-flight append and the ack --
+            # an escaped exception would wedge the next barrier().
+            try:
+                detector.ingest_delta(cursor, delta)
+                reports, n = detector.apply_records(buffer.records, buffer.extras)
+            except FrameFormatError as exc:
+                self.apply_errors.append(
+                    f"<frame rejected by shard {self._slot_groups[shard]}: "
+                    f"{exc} ({exc.applied or 0}/{n_events} records applied)>"
+                )
+                self.apply_faults.append(
+                    {
+                        "message": str(exc),
+                        "kind": exc.kind,
+                        "record": exc.record,
+                        "applied": exc.applied or 0,
+                        "shard": self._slot_groups[shard],
+                    }
+                )
+                reports, n = [], exc.applied or 0
+            apply_sec = tracer.clock() - t_apply
+            self._apply_ack_inline(shard, n, reports, detector, apply_sec)
+            return
+        message = ("frame", frame)
         task_q = self._task_qs[shard]
         try:
             task_q.put_nowait(message)
@@ -1056,9 +839,7 @@ class ShardedEngine:
             self._dump_on_race(shard, reports)
         self._finish_batch(shard, apply_sec)
 
-    def _apply_ack(
-        self, shard, n_events, payload, stats_dict, sync_decoded, apply_sec=0.0
-    ) -> None:
+    def _apply_ack(self, shard, n_events, payload, stats_dict, apply_sec=0.0) -> None:
         self._acked_batches[shard] += 1
         self._acked_events[shard] += n_events
         tag, rows = payload
@@ -1078,10 +859,9 @@ class ShardedEngine:
                 }
             )
             rows = []
-        elif tag == "packed":
+        else:
             rows = unpack_reports(rows, self._encoder.interner)
         self._shard_stats[shard] = stats_dict
-        self._sync_decoded[shard] = sync_decoded
         if rows:
             self._reports.extend(rows)
             self.provenance_attached += sum(
@@ -1125,13 +905,7 @@ class ShardedEngine:
         provenance = [report.provenance for _seq, report in reports]
         if not any(p is not None for p in provenance):
             provenance = None
-        recorder.dump(
-            shard,
-            lines,
-            "race",
-            stats=self._shard_stats[shard],
-            provenance=provenance,
-        )
+        recorder.dump(shard, lines, "race", provenance=provenance)
 
     def _drain(self, block: bool) -> None:
         if self.config.workers == "inline":
@@ -1144,9 +918,7 @@ class ShardedEngine:
             if msg[0] == "ack":
                 # Workers identify themselves by *global* partition id;
                 # translate to the hosting slot (identity in normal mode).
-                self._apply_ack(
-                    self._slot_of[msg[1]], msg[2], msg[3], msg[4], msg[5], msg[6]
-                )
+                self._apply_ack(self._slot_of[msg[1]], msg[2], msg[3], msg[4], msg[5])
                 if block:
                     return
             elif msg[0] == "checkpoint":
@@ -1187,10 +959,6 @@ class ShardedEngine:
         if self.config.workers == "inline":
             for detector in self._detectors:
                 detector.reset()
-            self._decoders = [
-                FrameDecoder() if self._packed and not hasattr(d, "apply_records") else None
-                for d in self._detectors
-            ]
         else:
             for shard, task_q in enumerate(self._task_qs):
                 self._sent_batches[shard] += 1
@@ -1205,7 +973,7 @@ class ShardedEngine:
         n = len(self._slot_groups)
         self._encoder = EventEncoder(self._partitions, admit=self.config.admit)
         self._cursors = [1] * n
-        self._pbuffers = [_PackedBuffer() for _ in range(n)]
+        self._buffers = [_PackedBuffer() for _ in range(n)]
         self._shard_stats = [{} for _ in range(n)]
         if self.recorder is not None:
             self.recorder.rebind(self._encoder.interner)
@@ -1298,8 +1066,7 @@ class ShardedEngine:
         prefixes of the coordinator's, so the new slot's delta cursor is
         simply the shorter of the two -- the first frame fills whichever
         side is behind, and :func:`extend_interner`'s overlap skip absorbs
-        whichever side is ahead.  Seed-kernel slots decode through a fresh
-        :class:`FrameDecoder` (empty replica) and restart at cursor 1.
+        whichever side is ahead.
         """
         if not self.config.node_mode:
             raise ValueError("adopt_group requires cluster node mode")
@@ -1309,34 +1076,27 @@ class ShardedEngine:
             raise ValueError(f"group {group} is already hosted")
         detector = pickle.loads(blob) if blob is not None else None
         cursor = 1
-        if detector is not None and self.config.kernel == "encoded":
+        if detector is not None:
             cursor = max(
                 1, min(len(detector.interner), len(self._encoder.interner))
             )
         slot = len(self._slot_groups)
         self._slot_groups.append(group)
         self._slot_of[group] = slot
-        self._buffers.append([])
-        self._pbuffers.append(_PackedBuffer())
+        self._buffers.append(_PackedBuffer())
         self._cursors.append(cursor)
         self._sent_batches.append(0)
         self._acked_batches.append(0)
         self._sent_events.append(0)
         self._acked_events.append(0)
         self._shard_stats.append({})
-        self._sync_decoded.append(0)
         self._inflight.append(deque())
         if self.config.workers == "inline":
             if detector is None:
-                detector = self.config.detector_class()(
+                detector = PartitionedGoldilocks(
                     group, self._partitions, **self.config.detector_kwargs()
                 )
             self._detectors.append(detector)
-            self._decoders.append(
-                FrameDecoder()
-                if self._packed and not hasattr(detector, "apply_records")
-                else None
-            )
         else:
             ctx = mp.get_context()
             task_q = ctx.Queue(maxsize=self.config.queue_depth)
@@ -1345,8 +1105,6 @@ class ShardedEngine:
                 args=(
                     group,
                     self._partitions,
-                    self.config.kernel,
-                    self.config.transport,
                     self.config.detector_kwargs(),
                     blob,
                     task_q,
@@ -1375,7 +1133,6 @@ class ShardedEngine:
         self.barrier()
         if self.config.workers == "inline":
             del self._detectors[slot]
-            del self._decoders[slot]
         else:
             task_q = self._task_qs.pop(slot)
             proc = self._procs.pop(slot)
@@ -1388,14 +1145,12 @@ class ShardedEngine:
                 proc.terminate()
                 proc.join(timeout=1.0)
         del self._buffers[slot]
-        del self._pbuffers[slot]
         del self._cursors[slot]
         del self._sent_batches[slot]
         del self._acked_batches[slot]
         del self._sent_events[slot]
         del self._acked_events[slot]
         del self._shard_stats[slot]
-        del self._sync_decoded[slot]
         del self._inflight[slot]
         self._slot_groups.pop(slot)
         self._slot_of = {g: i for i, g in enumerate(self._slot_groups)}
@@ -1415,7 +1170,6 @@ class ShardedEngine:
                     short_circuit_rate=short_circuit_rate_of(det),
                     detector_work=detector_work_of(det),
                     detector=det,
-                    sync_decoded=self._sync_decoded[i],
                 )
             )
         admit = self.config.admit
@@ -1432,10 +1186,8 @@ class ShardedEngine:
             backpressure_stalls=self.backpressure_stalls,
             races_reported=sum(s.races for s in shards),
             n_shards=len(self._slot_groups),
-            transport=self.config.transport,
             queue_bytes=self.queue_bytes,
             edge_allocs=self.edge_allocs,
-            sync_decoded=sum(self._sync_decoded),
             spans_sampled=self.tracer.spans_written,
             flightrec_dumps=self.recorder.dumps_written if self.recorder else 0,
             provenance_attached=self.provenance_attached,

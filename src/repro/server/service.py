@@ -62,11 +62,6 @@ class ServiceConfig:
     workers: str = "process"
     commit_sync: str = "footprint"
     gc_threshold: Optional[int] = 50_000
-    #: "encoded" (integer kernel), "batch" (whole-frame vectorized
-    #: application of the same kernel), or "seed" (reference lazy detector)
-    kernel: str = "encoded"
-    #: "packed" (encode-once integer frames) or "object" (pickled Events)
-    transport: str = "packed"
     #: seconds of ingestion slack after which pending batches are flushed
     #: anyway (keeps report latency bounded on slow streams); <= 0 disables
     #: the background flusher
@@ -89,8 +84,6 @@ class ServiceConfig:
             workers=self.workers,
             commit_sync=self.commit_sync,
             gc_threshold=self.gc_threshold,
-            kernel=self.kernel,
-            transport=self.transport,
             obs=self.obs,
             admit=self.admit,
         )
@@ -135,9 +128,9 @@ class RaceDetectionService:
     def submit_line(self, line: str) -> Optional[int]:
         """Submit one event line; None (and a count) on bad input.
 
-        On the packed transport the engine encodes the line straight into
-        an integer record -- the text is parsed exactly once, service-side
-        ``Event`` objects are never built.
+        The engine encodes the line straight into an integer record -- the
+        text is parsed exactly once, service-side ``Event`` objects are
+        never built.
         """
         t0 = self.tracer.clock()
         try:
@@ -260,7 +253,6 @@ class RaceDetectionService:
             "last_parse_errors": bad_lines,
             "parse_error_detail": bad_detail,
             "n_shards": snapshot.n_shards,
-            "transport": snapshot.transport,
             "queue_depths": [shard.queue_depth for shard in snapshot.shards],
             "spans_sampled": snapshot.spans_sampled,
             "flightrec_dumps": snapshot.flightrec_dumps,
@@ -554,7 +546,6 @@ class RaceDetectionService:
         old engine is discarded -- nodes are drafted fresh.
         """
         config = self.config.engine_config()
-        config.transport = "packed"
         config.n_groups = n_groups
         config.groups = ()
         # carry a runtime-installed admission filter over to the node engine

@@ -48,9 +48,6 @@ class ShardStats:
     short_circuit_rate: float = 1.0
     #: the shard detector's deterministic cost counter
     detector_work: int = 0
-    #: sync/alloc/commit records this shard materialized as Events
-    #: (stays 0 for an encoded-kernel shard on the packed transport)
-    sync_decoded: int = 0
     #: full :meth:`DetectorStats.as_dict` payload from the shard
     detector: Dict[str, int] = field(default_factory=dict)
     #: snapshot keys dropped by from_dict (newer-server fields)
@@ -64,7 +61,6 @@ class ShardStats:
             "races": self.races,
             "short_circuit_rate": self.short_circuit_rate,
             "detector_work": self.detector_work,
-            "sync_decoded": self.sync_decoded,
             "detector": dict(self.detector),
             "unknown_fields": self.unknown_fields,
         }
@@ -108,14 +104,10 @@ class ServiceStats:
     races_reported: int = 0
     #: number of detection shards
     n_shards: int = 1
-    #: the engine transport in force ("packed" or "object")
-    transport: str = "packed"
-    #: bytes shipped to shards (packed frames or pickled batches)
+    #: bytes shipped to shards (packed frames, or raw record ints inline)
     queue_bytes: int = 0
     #: per-event allocation proxy at the ingestion edge
     edge_allocs: int = 0
-    #: sync records materialized as Events across all shards
-    sync_decoded: int = 0
     #: batches written to the span log (0 unless sampling is enabled)
     spans_sampled: int = 0
     #: ``.flightrec`` files written by the race flight recorder
@@ -174,10 +166,8 @@ class ServiceStats:
             "parse_errors": self.parse_errors,
             "races_reported": self.races_reported,
             "n_shards": self.n_shards,
-            "transport": self.transport,
             "queue_bytes": self.queue_bytes,
             "edge_allocs": self.edge_allocs,
-            "sync_decoded": self.sync_decoded,
             "spans_sampled": self.spans_sampled,
             "flightrec_dumps": self.flightrec_dumps,
             "provenance_attached": self.provenance_attached,

@@ -1,4 +1,4 @@
-"""The service-ingest benchmark artifact: schema, acceptance bar, parity."""
+"""The service-ingest benchmark artifact: schema, wire agreement, parity."""
 
 import json
 import os
@@ -10,13 +10,10 @@ REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
 
 REQUIRED_MODE_FIELDS = {
     "wire",
-    "transport",
-    "kernel",
     "events",
     "races",
     "queue_bytes",
     "edge_allocs",
-    "sync_decoded",
     "detector_work",
     "cost",
     "cost_per_event",
@@ -29,28 +26,14 @@ def validate_payload(payload):
     assert payload["benchmark"] == "service_ingest"
     assert payload["trace"]["events"] > 0
     assert payload["n_shards"] == 4
-    for name in (
-        "text-object",
-        "text-packed",
-        "binary-packed",
-        "text-packed-batch",
-        "binary-packed-batch",
-    ):
-        assert REQUIRED_MODE_FIELDS <= set(payload["modes"][name]), name
-    # The PR's acceptance bar, by deterministic counters: the packed path
-    # is >= 2x cheaper end to end than the text/object baseline.
-    assert payload["speedup_vs_text_object"]["binary-packed"] >= 2.0
-    assert payload["speedup_vs_text_object"]["text-packed"] >= 2.0
-    # The encode-once proof: packed modes materialize zero sync events
-    # shard-side; the object baseline decodes every one of them.
-    assert payload["modes"]["text-packed"]["sync_decoded"] == 0
-    assert payload["modes"]["binary-packed"]["sync_decoded"] == 0
-    assert payload["modes"]["text-object"]["sync_decoded"] > 0
-    # The batch kernel's acceptance bar on the service path: >= 1.5x less
-    # counted shard work than record-at-a-time application of the same
-    # packed frames, on both wire formats.
-    assert payload["kernel_work_reduction"]["text"] >= 1.5
-    assert payload["kernel_work_reduction"]["binary"] >= 1.5
+    assert set(payload["modes"]) == {"text-packed", "binary-packed"}
+    for name, row in payload["modes"].items():
+        assert REQUIRED_MODE_FIELDS <= set(row), name
+    # Both wires encode to the same records, so every deterministic counter
+    # agrees between them.
+    text, binary = payload["modes"]["text-packed"], payload["modes"]["binary-packed"]
+    for key in ("queue_bytes", "edge_allocs", "detector_work", "cost"):
+        assert text[key] == binary[key], key
     # Parity: every mode reported the identical race lines (seq included).
     assert payload["parity"]["identical_race_lines"] is True
     assert payload["parity"]["races"] > 0
@@ -66,25 +49,11 @@ def test_bench_ingest_payload_shape_and_acceptance_bar():
     again = bench_ingest()
     for name, row in payload["modes"].items():
         for key in ("events", "races", "queue_bytes", "edge_allocs",
-                    "sync_decoded", "cost"):
+                    "detector_work", "cost"):
             assert again["modes"][name][key] == row[key], (name, key)
     text = render_ingest(payload)
     for name in payload["modes"]:
         assert name in text
-
-
-def test_wall_clock_speedup_on_multicore_hosts():
-    """Wall-clock assertions only where they are physically meaningful."""
-    if (os.cpu_count() or 1) < 4:
-        import pytest
-
-        pytest.skip("wall-clock comparison needs >= 4 cores")
-    payload = bench_ingest(repeats=3)
-    modes = payload["modes"]
-    assert (
-        modes["binary-packed"]["events_per_sec"]
-        > modes["text-object"]["events_per_sec"]
-    )
 
 
 def test_cli_writes_the_json_artifact(tmp_path, capsys):

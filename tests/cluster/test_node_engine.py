@@ -159,10 +159,6 @@ def test_node_mode_config_validation():
         ShardedEngine(
             EngineConfig(n_groups=4, groups=(7,), workers="inline")
         )
-    with pytest.raises(ValueError):
-        ShardedEngine(
-            EngineConfig(n_groups=4, transport="object", workers="inline")
-        )
 
 
 def test_interner_snapshot_roundtrip_and_divergence():

@@ -14,7 +14,7 @@ bookkeeping must preserve:
 The two ``data/legacy_*.ckpt`` fixtures were written by the DataVar-keyed
 kernel: ``EncodedGoldilocks(segment_size=16)`` after ``TRACE[:200]`` through
 ``process``, and ``PartitionedGoldilocks(0, 2, segment_size=16)`` after the
-first ten ``frames_of(TRACE, batch=20)`` frames through ``apply_packed``.
+first ten ``packed_frames(TRACE, batch=20)`` frames through ``apply_packed``.
 """
 
 import os
@@ -23,12 +23,11 @@ import pickle
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core import BatchGoldilocks, EncodedGoldilocks
+from repro.bench.throughput import packed_frames
+from repro.core import EncodedGoldilocks
 from repro.core.actions import Alloc
 from repro.server.engine import PartitionedGoldilocks
 from repro.trace import RandomTraceGenerator
-
-from tests.core.test_batch_kernel import frames_of
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -81,7 +80,7 @@ class TestLegacyCheckpoints:
         assert restored.stats.accesses_checked == reference.stats.accesses_checked
 
     def test_packed_path_checkpoint_restores_to_the_same_verdicts(self):
-        frames = frames_of(TRACE, batch=20)
+        frames = packed_frames(TRACE, batch=20)
         reference = PartitionedGoldilocks(0, 2, segment_size=16)
         for frame in frames[:10]:
             reference.apply_packed(frame)
@@ -141,9 +140,8 @@ def test_alloc_churn_leaves_no_stale_infos(seed):
         action = event.action
         _check_invariants(detector, action.obj if isinstance(action, Alloc) else None)
 
-    for factory in (EncodedGoldilocks, BatchGoldilocks):
-        packed = factory(segment_size=8, gc_threshold=40)
-        for event, frame in zip(events, frames_of(events, batch=1)):
-            packed.apply_packed(frame)
-            action = event.action
-            _check_invariants(packed, action.obj if isinstance(action, Alloc) else None)
+    packed = EncodedGoldilocks(segment_size=8, gc_threshold=40)
+    for event, frame in zip(events, packed_frames(events, batch=1)):
+        packed.apply_packed(frame)
+        action = event.action
+        _check_invariants(packed, action.obj if isinstance(action, Alloc) else None)

@@ -1,7 +1,7 @@
 """Regressions for the packed-path hardening (the bugfix part of the PR).
 
-Three bugs, three hand-built malformed/filtered frames, asserted on BOTH
-packed kernels (scalar and batch):
+Three bugs, three hand-built malformed/filtered frames, asserted on the
+packed kernel:
 
 1. commit footprints carrying the ``FILTERED_VAR`` sentinel used to be
    resolved as ``interner[-1]`` (silently aliasing the newest element);
@@ -17,8 +17,10 @@ packed kernels (scalar and batch):
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import BatchGoldilocks, EncodedGoldilocks
+from repro.bench.throughput import packed_frames
+from repro.core import EncodedGoldilocks
 from repro.core.actions import DataVar, Event, Obj, Tid, Write, commit
 from repro.core.encode import (
     FILTERED_VAR,
@@ -29,8 +31,9 @@ from repro.core.encode import (
     decode_frame,
     encode_frame,
 )
+from repro.trace import RandomTraceGenerator
 
-KERNELS = [EncodedGoldilocks, BatchGoldilocks]
+KERNELS = [EncodedGoldilocks]
 VAR = DataVar(Obj(1), "f")
 OTHER = DataVar(Obj(2), "g")
 
@@ -170,15 +173,28 @@ def test_unknown_opcode_mid_frame_scalar_reports_applied_count():
     assert detector.stats.frame_faults == 1
 
 
-def test_unknown_opcode_batch_rejects_the_frame_atomically():
-    """Bug 3, batch path: wholesale validation fires before any record."""
-    seed_events = [Event(Tid(1), 0, Write(VAR)), Event(Tid(1), 1, Write(OTHER))]
-    frame, _ = raw_frame(rows=[(99, 2, 1, 2, 0, 0)], seed_events=seed_events)
-    detector = BatchGoldilocks()
+GENERATOR = RandomTraceGenerator(
+    max_threads=5, steps_per_thread=60, p_discipline=0.4, n_objects=4, n_fields=2
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9),
+       batch=st.integers(min_value=1, max_value=96),
+       opcode=st.integers(min_value=11, max_value=2**31),
+       position=st.integers(min_value=0, max_value=10**6))
+def test_junk_opcodes_are_rejected_at_their_record(seed, batch, opcode, position):
+    """Bug 3 on random frames: a junk opcode anywhere in the last frame
+    raises the typed error naming that opcode and its record offset."""
+    frames = packed_frames(GENERATOR.generate(seed), batch=batch)
+    base, delta, records, extras = decode_frame(frames[-1])
+    slot = 6 * (position % (len(records) // 6))
+    records[slot] = opcode
+    frames[-1] = encode_frame(base, delta, records, extras)
+
+    detector = EncodedGoldilocks()
     with pytest.raises(FrameFormatError) as excinfo:
-        detector.apply_packed(frame)
-    assert excinfo.value.kind == 99
-    assert excinfo.value.record == 2
-    assert excinfo.value.applied == 0  # frame-atomic: nothing was applied
-    assert detector.stats.accesses_checked == 0
+        for frame in frames:
+            detector.apply_packed(frame)
+    assert (excinfo.value.kind, excinfo.value.record) == (opcode, slot // 6)
     assert detector.stats.frame_faults == 1

@@ -1,8 +1,9 @@
 """Shared test utilities: oracle comparisons and report normalization."""
 
-from repro.core import Commit
+from repro.core import Commit, LazyGoldilocks
 from repro.core.actions import is_data_access
 from repro.oracle import HappensBeforeOracle
+from repro.server.protocol import format_race
 
 
 def oracle_first_races(events):
@@ -18,6 +19,16 @@ def detector_first_races(detector, events):
         for report in detector.process(event):
             firsts.setdefault(report.var, pos)
     return firsts
+
+
+def offline_race_lines(events):
+    """Sorted offline race lines, seq = trace index: what a service must print."""
+    detector = LazyGoldilocks()
+    return sorted(
+        format_race(seq, report)
+        for seq, event in enumerate(events)
+        for report in detector.process(event)
+    )
 
 
 def report_key(report):

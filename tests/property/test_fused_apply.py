@@ -12,11 +12,49 @@ import pickle
 
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.throughput import packed_frames
 from repro.core import EncodedGoldilocks
-from repro.core.encode import decode_frame, encode_frame
+from repro.core.encode import (
+    FILTERED_VAR,
+    OP_ALLOC,
+    OP_COMMIT,
+    OP_READ,
+    OP_WRITE,
+    decode_frame,
+    encode_frame,
+)
 from repro.server.engine import PartitionedGoldilocks
+from repro.trace import RandomTraceGenerator
 
-from tests.property.test_batch_frames import filtered_frames, seeds
+GENERATOR = RandomTraceGenerator(
+    max_threads=5, steps_per_thread=60, p_discipline=0.4, n_objects=4, n_fields=2
+)
+seeds = st.integers(min_value=0, max_value=10**9)
+
+
+def filtered_frames(seed, batch, stride):
+    """Frames for trace ``seed`` with every ``stride``-th filterable id
+    (data var, alloc target, commit footprint entry) replaced by the
+    admission sentinel -- the shape an edge filter actually produces."""
+    frames = []
+    tick = 0
+    for frame in packed_frames(GENERATOR.generate(seed), batch=batch):
+        base, delta, records, extras = decode_frame(frame)
+        for i in range(0, len(records), 6):
+            op = records[i]
+            if op in (OP_READ, OP_WRITE, OP_ALLOC):
+                tick += 1
+                if tick % stride == 0:
+                    records[i + 4] = FILTERED_VAR
+            elif op == OP_COMMIT:
+                offset = records[i + 4]
+                n_vars = extras[offset]
+                for j in range(offset + 1, offset + 1 + 2 * n_vars, 2):
+                    tick += 1
+                    if tick % stride == 0:
+                        extras[j] = FILTERED_VAR
+        frames.append(encode_frame(base, delta, records, extras))
+    return frames
 
 
 def _lines(reports):

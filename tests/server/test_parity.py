@@ -14,12 +14,13 @@ from repro.cli import main as race_main
 from repro.core import LazyGoldilocks
 from repro.server import RaceDetectionService, ServiceConfig, ShardedEngine
 from repro.server.cli import main as serve_main
-from repro.server.protocol import parse_race, parse_response
+from repro.server.protocol import format_race, parse_race, parse_response
 from repro.trace import TraceRecorder, dump_trace
 from repro.trace.io import format_event
 from repro.workloads import run_ftpserver
 
 from ..core.test_paper_figures import build_figure6_trace, build_figure7_trace
+from ..helpers import offline_race_lines
 
 
 def ftpserver_trace(seed):
@@ -94,40 +95,33 @@ def test_engine_parity_across_shard_counts_on_ftpserver():
             assert {r for _, r in engine.barrier()} == expected
 
 
-def test_engine_kernel_choices_agree():
-    """The encoded kernel and the seed detector behind the same shards."""
+def test_engine_seq_tagged_lines_match_offline():
+    """Event submission through the shards tags races as the offline run."""
     seed = next(s for s in range(6) if offline_races(ftpserver_trace(s)))
     events = ftpserver_trace(seed)
-    expected = as_keys(offline_races(events))
-    results = {}
-    for kernel in ("encoded", "seed"):
-        with ShardedEngine(n_shards=3, workers="inline", kernel=kernel) as engine:
-            for event in events:
-                engine.submit(event)
-            results[kernel] = as_keys(r for _, r in engine.barrier())
-    assert results["encoded"] == results["seed"] == expected
+    with ShardedEngine(n_shards=3, workers="inline") as engine:
+        for event in events:
+            engine.submit(event)
+        got = sorted(format_race(seq, r) for seq, r in engine.barrier())
+    assert got == offline_race_lines(events)
 
 
-def test_service_kernel_knob_and_epoch_counter():
+def test_service_epoch_counter_and_offline_lines():
     events = ftpserver_trace(1)
     lines = "\n".join(format_event(e) for e in events) + "\n"
     out = io.StringIO()
-    config = ServiceConfig(n_shards=2, workers="inline", kernel="encoded")
+    config = ServiceConfig(n_shards=2, workers="inline")
     with RaceDetectionService(config) as service:
         service.handle_stream(io.StringIO(lines), out)
         snapshot = service.stats()
-    # The kernel's new counters surface through the service snapshot and
-    # participate in the aggregate short-circuit rate.
+    # The kernel's epoch counter surfaces through the service snapshot and
+    # participates in the aggregate short-circuit rate.
     assert any("sc_epoch" in shard.detector for shard in snapshot.shards)
     assert 0.0 <= snapshot.short_circuit_rate <= 1.0
-    # And the knob actually switches implementations: the seed detector has
-    # no epoch rung, so its counter stays absent-or-zero.
-    out_seed = io.StringIO()
-    with RaceDetectionService(ServiceConfig(n_shards=2, workers="inline", kernel="seed")) as service:
-        service.handle_stream(io.StringIO(lines), out_seed)
-        seed_snapshot = service.stats()
-    for shard in seed_snapshot.shards:
-        assert shard.detector.get("sc_epoch", 0) == 0
+    got = sorted(
+        line for line in out.getvalue().splitlines() if line.startswith("race ")
+    )
+    assert got == offline_race_lines(events)
 
 
 def test_cli_exit_codes_agree(tmp_path, monkeypatch, capsys):

@@ -28,20 +28,22 @@ def test_service_stats_drop_unknown_keys_at_both_levels():
     data = stats.as_dict()
     data["new_toplevel_gauge"] = 5
     data["shards"][1]["new_shard_gauge"] = 7
+    # keys older servers wrote (the removed object transport's counters)
+    data["transport"] = "object"
+    data["sync_decoded"] = 640
+    data["shards"][0]["sync_decoded"] = 640
     snap = ServiceStats.from_dict(data)
     assert snap.events_ingested == 10
-    assert snap.unknown_fields == 1
-    assert [s.unknown_fields for s in snap.shards] == [0, 1]
+    assert snap.unknown_fields == 3
+    assert [s.unknown_fields for s in snap.shards] == [1, 1]
 
 
 def test_stats_json_round_trip_is_lossless_for_known_fields():
     stats = ServiceStats(
         events_ingested=4,
-        transport="packed",
         queue_bytes=123,
         edge_allocs=2,
-        sync_decoded=0,
-        shards=[ShardStats(shard=0, sync_decoded=9)],
+        shards=[ShardStats(shard=0, races=9)],
     )
     back = ServiceStats.from_json(stats.to_json())
     assert back == stats

@@ -1,9 +1,9 @@
 """The binary wire path: parity with text, encode-once counters, client.
 
-The acceptance matrix of the encode-once PR: text and binary ingestion must
-produce identical race sets *and identical seq tags* across
-``workers`` x ``kernel`` x ``transport``, and the counters must prove that
-packed-mode encoded-kernel shards materialize zero sync events.
+Text and binary ingestion must produce the race lines of an offline
+:class:`~repro.core.lazy.LazyGoldilocks` replay -- same races *and the same
+seq tags* -- with inline and with process workers.  Malformed frames land
+in the parse-error ring instead of killing anything.
 """
 
 import io
@@ -13,12 +13,13 @@ import threading
 import pytest
 
 from repro.server import RaceDetectionService, ServiceConfig
-from repro.server.cli import main as serve_main
 from repro.server.client import ServiceClient, detect_over_socket
 from repro.server.protocol import FRAME_EVENTS, FRAME_TEXT, pack_frame
 from repro.server.service import serve_tcp
 from repro.trace import RandomTraceGenerator
 from repro.trace.io import format_event, iter_packed_frames, parse_event
+
+from ..helpers import offline_race_lines
 
 TRACE = RandomTraceGenerator(max_threads=4, n_objects=6, steps_per_thread=40)
 
@@ -28,12 +29,10 @@ def trace_text(seed=11):
     return "\n".join(format_event(e) for e in events) + "\n"
 
 
-def run_service(text, wire, transport="packed", kernel="encoded", workers="inline",
-                n_shards=4):
+def run_service(text, wire, workers="inline", n_shards=4):
     """One fresh service pass; returns (race lines incl. seq, stats)."""
     config = ServiceConfig(
-        n_shards=n_shards, workers=workers, kernel=kernel, transport=transport,
-        batch_size=16, flush_interval=0,
+        n_shards=n_shards, workers=workers, batch_size=16, flush_interval=0,
     )
     out = io.StringIO()
     with RaceDetectionService(config) as service:
@@ -57,30 +56,24 @@ def run_service(text, wire, transport="packed", kernel="encoded", workers="inlin
 
 @pytest.fixture(scope="module")
 def reference():
+    """The trace and its offline race lines (seq = trace index), sorted."""
     text = trace_text()
-    races, _ = run_service(text, "text", "object")
+    races = offline_race_lines(TRACE.generate(seed=11))
     assert races, "a parity matrix over a race-free trace proves nothing"
     return text, races
 
 
 @pytest.mark.parametrize("wire", ["text", "frames", "frame-text"])
-@pytest.mark.parametrize("transport", ["packed", "object"])
-@pytest.mark.parametrize("kernel", ["encoded", "seed"])
-def test_parity_matrix_inline(reference, wire, transport, kernel):
+def test_parity_matrix_inline(reference, wire):
     text, expected = reference
-    races, _ = run_service(text, wire, transport, kernel)
+    races, _ = run_service(text, wire)
     assert races == expected  # same races, same seq tags
 
 
-@pytest.mark.parametrize("wire,transport,kernel", [
-    ("frames", "packed", "encoded"),
-    ("frames", "object", "seed"),
-    ("text", "packed", "seed"),
-])
-def test_parity_with_process_workers(reference, wire, transport, kernel):
+@pytest.mark.parametrize("wire", ["text", "frames", "frame-text"])
+def test_parity_with_process_workers(reference, wire):
     text, expected = reference
-    races, _ = run_service(text, wire, transport, kernel, workers="process",
-                           n_shards=2)
+    races, _ = run_service(text, wire, workers="process", n_shards=2)
     assert races == expected
 
 
@@ -88,24 +81,10 @@ def test_packed_counters_prove_encode_once(reference):
     text, _ = reference
     n_events = len(text.strip().splitlines())
 
-    _, packed = run_service(text, "frames", "packed", "encoded")
-    assert packed.transport == "packed"
+    _, packed = run_service(text, "frames")
     assert packed.queue_bytes > 0
-    # the encode-once claim: zero sync records materialized shard-side
-    assert packed.sync_decoded == 0
-    assert all(s.sync_decoded == 0 for s in packed.shards)
     # edge allocations are per *new element*, far below one per event
     assert 0 < packed.edge_allocs < n_events / 4
-
-    _, objected = run_service(text, "text", "object", "encoded")
-    assert objected.transport == "object"
-    assert objected.edge_allocs == n_events  # one Event per line
-    assert objected.sync_decoded > 0
-    assert objected.queue_bytes > packed.queue_bytes
-
-    # a seed-kernel shard cannot consume records: it decodes at the boundary
-    _, seed = run_service(text, "frames", "packed", "seed")
-    assert seed.sync_decoded > 0
 
 
 def test_binary_request_on_text_only_stream_is_an_error():
@@ -135,8 +114,6 @@ def test_tcp_client_binary_round_trip():
                 client.stream(events)
                 client.flush()
                 assert client.ping()
-                stats = client.stats()
-                assert stats.transport == "packed"
                 binary_races = sorted(map(repr, (r[:3] for r in client.races)))
                 binary_seqs = sorted(r.seq for r in client.races)
 
@@ -204,17 +181,52 @@ def test_iter_packed_frames_round_trip(tmp_path):
     assert gz_frames == frames
 
 
-def test_cli_transport_flag(tmp_path, capsys):
-    from repro.trace.io import dump_trace
+def test_corrupt_wire_frame_lands_in_the_parse_error_ring(reference):
+    """A junk opcode inside a binary FRAME_EVENTS payload must be rejected
+    at the edge as bad input -- connection and shards keep going."""
+    text, expected = reference
+    frames = list(iter_packed_frames(io.StringIO(text), 32))
+    from repro.core.encode import decode_frame, encode_frame
 
-    events = TRACE.generate(seed=11)
-    path = str(tmp_path / "wire.trace")
-    dump_trace(events, path)
-    codes = set()
-    for transport in ("packed", "object"):
-        codes.add(serve_main([
-            "--tail", path, "--shards", "2", "--workers", "inline",
-            "--transport", transport,
-        ]))
-        capsys.readouterr()
-    assert codes == {1}  # both transports see the trace's races
+    base, delta, records, extras = decode_frame(frames[0])
+    records[0] = 99
+    corrupt = encode_frame(base, delta, records, extras)
+
+    config = ServiceConfig(n_shards=2, workers="inline", batch_size=16,
+                           flush_interval=0)
+    out = io.StringIO()
+    buf = io.BytesIO()
+    buf.write(pack_frame(FRAME_EVENTS, corrupt))  # rejected up front
+    for frame in frames:
+        buf.write(pack_frame(FRAME_EVENTS, frame))  # then the real stream
+    buf.seek(0)
+    with RaceDetectionService(config) as service:
+        service.handle_stream(iter(["!binary\n"]), out, binary=buf)
+        stats = service.stats()
+        health = service.health()
+    races = sorted(
+        line for line in out.getvalue().splitlines() if line.startswith("race ")
+    )
+    assert races == expected  # the good frames all still applied
+    assert stats.parse_errors == 1
+    assert any("opcode" in line for line in health["last_parse_errors"])
+
+
+def test_worker_apply_errors_drain_into_the_parse_error_ring(reference):
+    """``engine.apply_errors`` (worker 'err' acks / inline-apply faults) are
+    folded into the service's parse-error accounting at snapshot time."""
+    text, _ = reference
+    config = ServiceConfig(n_shards=1, workers="inline", batch_size=16,
+                           flush_interval=0)
+    out = io.StringIO()
+    with RaceDetectionService(config) as service:
+        service.handle_stream(io.StringIO(text), out)
+        before = service.stats().parse_errors
+        service.engine.apply_errors.append(
+            "shard 0: unknown opcode 99 at record 7 (0/16 records applied)"
+        )
+        stats = service.stats()
+        health = service.health()
+    assert stats.parse_errors == before + 1
+    assert service.engine.apply_errors == []  # drained, not re-counted
+    assert any("unknown opcode" in line for line in health["last_parse_errors"])

@@ -19,10 +19,13 @@ zero detector work**.  Every mode runs the identical trace, so per-shard ``detec
 cost counter), the ingest cost model ``queue_bytes + 64 * edge_allocs``,
 and the race lines (including seq tags) must be byte-identical across
 modes -- instrumentation only ever reads clocks and appends to
-side-channel structures, never touches the detection path.  Wall-clock
-fields (``elapsed_sec``, ``events_per_sec``) are environment-dependent
-and only indicative of the (small) constant-factor cost of the default-on
-counters.
+side-channel structures, never touches the detection path.  The per-mode
+wall-clock fields (``elapsed_sec``, ``events_per_sec``) are best-of
+``--repeats`` and only indicative.  What the counters cost in time is
+``wall_overhead_vs_all_off``: the median ``counters-on`` pass over the
+median ``all-off`` pass, from at least :data:`WALL_REPEATS` interleaved
+passes of each, with the per-round spread and the host it ran on.  The
+cost model cannot see clock reads or histogram updates; this ratio can.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import platform
+import statistics
 import tempfile
 import time
 from typing import Dict, List, Optional, Tuple
@@ -41,6 +46,8 @@ from .ingest import ALLOC_COST_BYTES, TRACE_PARAMS, TRACE_SEED, generate_trace_t
 N_SHARDS = 4
 #: 1-in-N batch sampling rate for the spans-on mode
 SPAN_SAMPLE = 8
+#: interleaved all-off / counters-on passes behind the wall-clock ratio
+WALL_REPEATS = 15
 
 #: mode names in presentation order; all-off first -- it is the baseline
 #: every overhead number is measured against
@@ -67,40 +74,46 @@ def _obs_config(mode: str, span_log: Optional[str]) -> ObsConfig:
     raise ValueError(f"unknown obs bench mode {mode!r}")
 
 
+def _one_pass(mode: str, text: str):
+    """One fresh service over the trace; returns (elapsed, output, stats, stage counts)."""
+    span_log = None
+    if mode == "spans-on":
+        fd, span_log = tempfile.mkstemp(suffix=".jsonl", prefix="repro-obs-")
+        os.close(fd)
+    try:
+        service = RaceDetectionService(
+            ServiceConfig(
+                n_shards=N_SHARDS,
+                workers="inline",
+                flush_interval=0,
+                obs=_obs_config(mode, span_log),
+            )
+        )
+        out = io.StringIO()
+        started = time.perf_counter()
+        service.handle_stream(io.StringIO(text), out)
+        elapsed = time.perf_counter() - started
+        stats = service.stats()
+        stage_counts = service.tracer.stage_counts()
+        service.close()
+    finally:
+        if span_log is not None:
+            os.unlink(span_log)
+    return elapsed, out.getvalue(), stats, stage_counts
+
+
 def _run_mode(mode: str, text: str, repeats: int) -> Tuple[Dict[str, object], List[str]]:
     """One mode's pass over the trace; returns (counters row, race lines)."""
     best = None
     races: List[str] = []
     row: Dict[str, object] = {}
     for _ in range(max(1, repeats)):
-        span_log = None
-        if mode == "spans-on":
-            fd, span_log = tempfile.mkstemp(suffix=".jsonl", prefix="repro-obs-")
-            os.close(fd)
-        try:
-            service = RaceDetectionService(
-                ServiceConfig(
-                    n_shards=N_SHARDS,
-                    workers="inline",
-                    flush_interval=0,
-                    obs=_obs_config(mode, span_log),
-                )
-            )
-            out = io.StringIO()
-            started = time.perf_counter()
-            service.handle_stream(io.StringIO(text), out)
-            elapsed = time.perf_counter() - started
-            stats = service.stats()
-            stage_counts = service.tracer.stage_counts()
-            service.close()
-        finally:
-            if span_log is not None:
-                os.unlink(span_log)
+        elapsed, output, stats, stage_counts = _one_pass(mode, text)
         if best is not None and elapsed >= best:
             continue
         best = elapsed
         races = sorted(
-            line for line in out.getvalue().splitlines() if line.startswith("race ")
+            line for line in output.splitlines() if line.startswith("race ")
         )
         events = stats.events_ingested
         row = {
@@ -119,6 +132,48 @@ def _run_mode(mode: str, text: str, repeats: int) -> Tuple[Dict[str, object], Li
     return row, races
 
 
+def _spread(samples: List[float]) -> Dict[str, float]:
+    return {
+        "median": round(statistics.median(samples), 6),
+        "min": round(min(samples), 6),
+        "max": round(max(samples), 6),
+    }
+
+
+def wall_overhead(text: str, repeats: int = WALL_REPEATS) -> Dict[str, object]:
+    """The default-on counters' wall-clock cost, as a ratio against all-off.
+
+    After one untimed warm-up pass of each, ``all-off`` and
+    ``counters-on`` passes are interleaved, ``repeats`` of each, with the
+    order swapped every round so neither mode always runs second.  The
+    ratio is the median counters-on ``elapsed_sec`` over the median
+    all-off one; ``ratio_min``/``ratio_max`` span the per-round ratios.
+    """
+    pair = ("all-off", "counters-on")
+    for mode in pair:
+        _one_pass(mode, text)
+    samples: Dict[str, List[float]] = {mode: [] for mode in pair}
+    for i in range(repeats):
+        for mode in pair if i % 2 == 0 else pair[::-1]:
+            samples[mode].append(_one_pass(mode, text)[0])
+    off, on = samples["all-off"], samples["counters-on"]
+    rounds = [b / a for a, b in zip(off, on)]
+    return {
+        "mode": "counters-on",
+        "repeats": len(off),
+        "ratio": round(statistics.median(on) / statistics.median(off), 4),
+        "ratio_min": round(min(rounds), 4),
+        "ratio_max": round(max(rounds), 4),
+        "elapsed_sec": {"all-off": _spread(off), "counters-on": _spread(on)},
+        "host": {
+            "python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            "machine": platform.machine(),
+            "nproc": os.cpu_count(),
+        },
+    }
+
+
 def bench_obs(repeats: int = 1) -> Dict[str, object]:
     """Run the ablation on the fixed trace; returns the JSON payload."""
     text = generate_trace_text()
@@ -135,6 +190,7 @@ def bench_obs(repeats: int = 1) -> Dict[str, object]:
         mode: modes[mode]["ingest_cost"] - baseline["ingest_cost"] for mode in MODES
     }
     reference = race_lines["all-off"]
+    wall = wall_overhead(text, max(WALL_REPEATS, repeats))
     return {
         "benchmark": "obs_overhead",
         "trace": {
@@ -150,6 +206,7 @@ def bench_obs(repeats: int = 1) -> Dict[str, object]:
             "added_detector_work": added_work,
             "added_ingest_cost": added_cost,
         },
+        "wall_overhead_vs_all_off": wall,
         "deterministic_overhead_is_zero": all(
             added_work[mode] == 0 and added_cost[mode] == 0 for mode in MODES
         ),
@@ -182,6 +239,12 @@ def render_obs(payload: Dict[str, object]) -> str:
             f"/+{payload['overhead_vs_all_off']['added_ingest_cost'][mode]}"
             for mode in payload["modes"]
         )
+    )
+    wall = payload["wall_overhead_vs_all_off"]
+    lines.append(
+        f"wall-clock counters-on / all-off: {wall['ratio']:.3f}x "
+        f"(median of {wall['repeats']} interleaved passes each, per-round "
+        f"{wall['ratio_min']:.3f}-{wall['ratio_max']:.3f}x)"
     )
     parity = payload["parity"]
     lines.append(

@@ -12,9 +12,20 @@ An event's life in the service crosses five stages::
 * **report**: turning completed reports into wire ``race`` lines.
 
 The tracer keeps, per stage, an event/batch **counter** (deterministic)
-and a fixed-bucket **latency histogram** (wall-clock; per *batch* for the
-hot stages, so the default-on cost is two clock reads per batch, not per
-event).  Span sampling is **off by default**: with ``span_sample=N`` every
+and a fixed-bucket **latency histogram** (wall-clock).  Every histogram
+observation covers a batch, never a single event:
+
+* route/queue/apply time one pushed batch each.  ``queue`` closes when
+  the router drains the batch's ack; with process workers the router
+  looks at the result queue only while batches are in flight.
+* ingest sums each text line's (or binary frame's) ingest time and is
+  observed once ``batch_size`` events have accumulated -- so once per
+  frame of at least that size -- and at every barrier, with ``n`` the
+  events covered.  After a barrier the ingest counter equals the events
+  ingested on every path: text lines, ``!binary`` frames, text frames and
+  ``submit_event``.  A line costs two clock reads and a float add.
+
+Span sampling is **off by default**: with ``span_sample=N`` every
 Nth batch (deterministically, by batch ordinal -- no RNG) is written as
 one JSONL object to ``span_log``, schema::
 
@@ -152,7 +163,8 @@ class LifecycleTracer:
         self._stage_latency = self.registry.histogram(
             "stage_latency_seconds",
             "wall-clock latency per lifecycle stage (per batch for "
-            "route/queue/apply, per event for ingest, per drain for report)",
+            "route/queue/apply, per batch of events or binary frame for "
+            "ingest, per drain for report)",
             buckets=LATENCY_BUCKETS,
             labels=("stage",),
         )

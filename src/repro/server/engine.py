@@ -24,7 +24,10 @@ dependency-free: ideal for tests and the cost-model benchmark) or as
 **separate processes** (``workers="process"``, ``multiprocessing`` queues,
 sidestepping the GIL so detection scales with cores).  Batching amortizes
 queue overhead; bounded task queues give backpressure: when a shard falls
-behind, ``submit`` blocks instead of buffering unboundedly.
+behind, ``submit`` blocks instead of buffering unboundedly.  The result
+path costs per batch, not per event: the router looks at the workers'
+result queue once per pushed batch and on each poll, and only while some
+batch is still unacknowledged.
 
 Every shard runs :class:`~repro.core.kernel.EncodedGoldilocks` and every
 batch travels in one packed form.  Events are translated once at the edge
@@ -538,7 +541,6 @@ class ShardedEngine:
             if op == OP_READ or op == OP_WRITE:
                 if a < 0:
                     self.data_filtered += 1
-                    self._drain(block=False)
                     return seq
                 self.data_routed += 1
             else:
@@ -548,7 +550,6 @@ class ShardedEngine:
                 # admission-filtered access: consumes its sequence number
                 # (race-line parity with unfiltered runs) but ships nowhere
                 self.data_filtered += 1
-                self._drain(block=False)
                 return seq
             self.data_routed += 1
             self.data_admitted += 1
@@ -556,7 +557,6 @@ class ShardedEngine:
             if slot is None:
                 # node mode: the owning group lives on some other node
                 self.foreign_dropped += 1
-                self._drain(block=False)
                 return seq
             targets = (slot,)
         else:
@@ -573,7 +573,6 @@ class ShardedEngine:
             buffer.count += 1
             if buffer.count >= self.config.batch_size:
                 self._push(shard)
-        self._drain(block=False)
         return seq
 
     def submit_wire_frame(self, payload: bytes, state: WireIngest) -> int:
@@ -822,6 +821,9 @@ class ShardedEngine:
                     # Keep acknowledgments moving while we wait, so a slow
                     # shard cannot wedge the whole ingestion path.
                     self._drain(block=False)
+        # One look at the result queue per pushed batch keeps acks (and the
+        # worker's pipe) moving even when nobody polls for reports.
+        self._drain(block=False)
 
     # -- results ---------------------------------------------------------------
 
@@ -908,9 +910,19 @@ class ShardedEngine:
         recorder.dump(shard, lines, "race", provenance=provenance)
 
     def _drain(self, block: bool) -> None:
+        """Apply whatever the workers have sent back.
+
+        Every ``ack`` pairs with one in-flight batch (reset sentinels
+        included), so once each slot has ``acked == sent`` a non-blocking
+        look at the result queue can only come back empty: it returns
+        without touching the queue, and the ``poll()`` syscall behind
+        ``Queue.get`` is paid only while batches are in flight.
+        ``checkpoint`` and ``stopped`` replies are awaited by the blocking
+        loops alone.
+        """
         if self.config.workers == "inline":
             return  # inline acks are applied synchronously in _push
-        while True:
+        while block or self._acked_batches != self._sent_batches:
             try:
                 msg = self._result_q.get(block=block, timeout=0.5 if block else None)
             except queue_mod.Empty:
@@ -927,7 +939,11 @@ class ShardedEngine:
                     return
 
     def poll_reports(self) -> List[SeqReport]:
-        """Drain already-arrived reports without waiting (seq-tagged)."""
+        """Drain already-arrived reports without waiting (seq-tagged).
+
+        Cheap enough to call after every event: with no batch in flight it
+        does not touch the workers' result queue at all.
+        """
         self._drain(block=False)
         out, self._reports = self._reports, []
         return out

@@ -110,6 +110,11 @@ class RaceDetectionService:
         #: ``repro_slo_*`` gauges on every metrics render
         self.slo = SloWatchdog()
         self.tracer = self.engine.tracer
+        #: ingest time and events not yet observed: the ``ingest`` stage is
+        #: recorded once ``batch_size`` events have accumulated and at every
+        #: barrier, never per line
+        self._ingest_sec = 0.0
+        self._ingest_events = 0
         self._races_seen = 0
         self._shutdown = threading.Event()
         self._flusher: Optional[threading.Thread] = None
@@ -122,8 +127,11 @@ class RaceDetectionService:
     # -- ingestion primitives (all engine access goes through the lock) --------
 
     def submit_event(self, event: Event) -> int:
+        t0 = self.tracer.clock()
         with self._lock:
-            return self.engine.submit(event)
+            seq = self.engine.submit(event)
+            self._ingested(t0, 1)
+        return seq
 
     def submit_line(self, line: str) -> Optional[int]:
         """Submit one event line; None (and a count) on bad input.
@@ -136,11 +144,33 @@ class RaceDetectionService:
         try:
             with self._lock:
                 seq = self.engine.submit_line(line)
+                self._ingested(t0, 1)
         except Exception as exc:
             self._note_bad_input(line, error=exc)
             return None
-        self.tracer.observe("ingest", t0)
         return seq
+
+    def _ingested(self, started: float, n: int) -> None:
+        """Account ``n`` ingested events; caller must hold the lock.
+
+        The time is summed, and the ``ingest`` stage is observed once a
+        batch's worth of events has accumulated (a binary frame of at
+        least ``batch_size`` events on its own), so the histogram update
+        is paid per batch, not per line.
+        """
+        self._ingest_sec += self.tracer.clock() - started
+        self._ingest_events += n
+        if self._ingest_events >= self.config.batch_size:
+            self._observe_ingest()
+
+    def _observe_ingest(self) -> None:
+        """Record the pending ingest time; caller must hold the lock."""
+        if self._ingest_events:
+            self.tracer.observe_elapsed(
+                "ingest", self._ingest_sec, self._ingest_events
+            )
+            self._ingest_sec = 0.0
+            self._ingest_events = 0
 
     def _note_bad_input(
         self, line: str, error: Optional[BaseException] = None
@@ -174,6 +204,7 @@ class RaceDetectionService:
     def barrier(self) -> List[SeqReport]:
         """Flush and fully drain; returns the newly completed reports."""
         with self._lock:
+            self._observe_ingest()
             reports = self.engine.barrier()
             self._races_seen += len(reports)
             return reports
@@ -201,6 +232,7 @@ class RaceDetectionService:
 
     def stats(self) -> ServiceStats:
         with self._lock:
+            self._observe_ingest()
             self._drain_apply_errors()
             snapshot = self.engine.stats()
         # Re-derive the rates against the *service* start time (monotonic,
@@ -551,6 +583,7 @@ class RaceDetectionService:
         # carry a runtime-installed admission filter over to the node engine
         config.admit = self.engine.config.admit
         with self._lock:
+            self._observe_ingest()
             old = self.engine
             self.engine = ShardedEngine(config)
             old.close()
@@ -575,9 +608,16 @@ class RaceDetectionService:
                 return events, races, False
             frame_type, payload = frame
             if frame_type == FRAME_EVENTS:
+                t0 = self.tracer.clock()
                 try:
                     with self._lock:
-                        count = self.engine.submit_wire_frame(payload, state)
+                        before = self.engine.events_ingested
+                        try:
+                            count = self.engine.submit_wire_frame(payload, state)
+                        finally:
+                            # a frame rejected midway still ingested its
+                            # leading records
+                            self._ingested(t0, self.engine.events_ingested - before)
                 except Exception as exc:
                     self._note_bad_input(f"<binary frame of {len(payload)}B: {exc}>")
                     writer.write(f"error bad event frame: {exc}\n")
@@ -687,6 +727,7 @@ class RaceDetectionService:
         locked = self._lock.acquire(timeout=timeout)
         try:
             if locked:
+                self._observe_ingest()
                 reports = self.engine.barrier(timeout=timeout)
                 self._races_seen += len(reports)
         except Exception:

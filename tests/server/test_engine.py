@@ -1,5 +1,7 @@
 """Unit tests for the sharded detection engine."""
 
+import time
+
 import pytest
 
 from repro.core import LazyGoldilocks, Obj, Tid
@@ -11,6 +13,7 @@ from repro.server.engine import (
     shard_of,
 )
 from repro.trace import RandomTraceGenerator, TraceBuilder
+from repro.trace.io import format_event
 
 RACY = RandomTraceGenerator(
     max_threads=6, steps_per_thread=60, p_discipline=0.3, n_objects=8, n_fields=4
@@ -192,3 +195,94 @@ def test_process_engine_backpressure_blocks_instead_of_buffering():
         stats = engine.stats()
     assert stats.backpressure_stalls >= 1
     assert stats.shards[0].events_processed == 120
+
+
+# -- the result path costs per batch, not per event ----------------------------
+
+
+def _count_result_reads(engine):
+    """Wrap the engine's result-queue ``get``; returns the call counter."""
+    calls = [0]
+    get = engine._result_q.get
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return get(*args, **kwargs)
+
+    engine._result_q.get = counted
+    return calls
+
+
+def test_process_engine_polls_no_queue_while_nothing_is_in_flight():
+    lines = [format_event(e) for e in RACY]
+    expected = offline(RACY)
+    assert expected
+    with ShardedEngine(
+        EngineConfig(n_shards=1, workers="process", batch_size=len(lines) + 1)
+    ) as engine:
+        reads = _count_result_reads(engine)
+        for line in lines:
+            engine.submit_line(line)
+            assert engine.poll_reports() == []
+        engine.stats()
+        # no batch was pushed, so no ack can be waiting: not one queue read
+        assert reads[0] == 0
+        reports = [r for _, r in engine.barrier()]
+        assert reads[0] >= 1
+    assert reports == expected
+
+
+def test_race_in_a_pushed_batch_surfaces_from_poll_before_any_barrier():
+    batch_size = 4
+    detector = LazyGoldilocks()
+    first = next(
+        seq for seq, event in enumerate(RACY) if detector.process(event)
+    )
+    # submit through the end of the batch that holds the racy access
+    upto = (first // batch_size + 1) * batch_size
+    assert upto < len(RACY), "the race must complete before the trace ends"
+    with ShardedEngine(
+        EngineConfig(n_shards=1, workers="process", batch_size=batch_size)
+    ) as engine:
+        surfaced = []
+        for event in RACY[:upto]:
+            engine.submit(event)
+            surfaced.extend(engine.poll_reports())
+        deadline = time.monotonic() + 30.0
+        while not surfaced and time.monotonic() < deadline:
+            surfaced.extend(engine.poll_reports())
+            time.sleep(0.001)
+        assert surfaced, "a race in an acknowledged batch must not wait for barrier()"
+        assert min(seq for seq, _ in surfaced) == first
+        engine.barrier()
+
+
+def test_process_checkpoint_and_reset_after_gated_drains():
+    lines = [format_event(e) for e in RACY]
+    mid = len(lines) // 2
+    expected = offline(RACY)
+    with ShardedEngine(
+        EngineConfig(n_shards=1, workers="process", batch_size=len(lines) + 1)
+    ) as engine:
+        for line in lines[:mid]:
+            engine.submit_line(line)
+            engine.poll_reports()
+        prefix = engine.barrier()
+        [blob] = engine.checkpoint()
+        for line in lines[mid:]:
+            engine.submit_line(line)
+            engine.poll_reports()
+        suffix = engine.barrier()
+        assert [r for _, r in prefix + suffix] == expected
+        engine.reset()
+        for line in lines:
+            engine.submit_line(line)
+            engine.poll_reports()
+        again = engine.barrier()
+        assert [r for _, r in again] == expected
+        assert [seq for seq, _ in again] == [
+            seq + len(lines) for seq, _ in prefix + suffix
+        ]
+    resumed = PartitionedGoldilocks.restore(blob)
+    tail = [r for event in RACY[mid:] for r in resumed.process(event)]
+    assert [r for _, r in prefix] + tail == expected

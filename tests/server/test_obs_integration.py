@@ -6,6 +6,7 @@ Also home to the stats-aggregation satellites: the query-weighted
 
 import io
 import json
+import sys
 import threading
 
 from repro.obs.bridge import REQUIRED_METRICS
@@ -140,6 +141,31 @@ def test_spans_work_with_counters_off(tmp_path):
         assert service.tracer.stage_counts()["route"] == 0
     spans = [r for r in read_span_log(path) if r["kind"] == "span"]
     assert spans  # sampling does not depend on the counter switch
+
+
+def test_concurrent_ingest_counts_every_event_once():
+    """Connections share the per-batch ingest accumulator; none is lost."""
+    per_thread, n_threads = 500, 4
+    lines = [f"{t} {i} write {t} data" for t in range(1, n_threads + 1)
+             for i in range(per_thread)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with inline_service(batch_size=7) as service:
+            def feed(t):
+                for line in lines[t * per_thread:(t + 1) * per_thread]:
+                    assert service.submit_line(line) is not None
+            threads = [threading.Thread(target=feed, args=(t,)) for t in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            service.barrier()
+            assert service.tracer.stage_counts()["ingest"] == len(lines)
+            assert service.engine.events_ingested == len(lines)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- snapshot compatibility for the new fields ---------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from repro.server import RaceDetectionService, ServiceConfig
 from repro.server.client import ServiceClient, detect_over_socket
-from repro.server.protocol import FRAME_EVENTS, FRAME_TEXT, pack_frame
+from repro.server.protocol import FRAME_EVENTS, FRAME_TEXT, format_race, pack_frame
 from repro.server.service import serve_tcp
 from repro.trace import RandomTraceGenerator
 from repro.trace.io import format_event, iter_packed_frames, parse_event
@@ -85,6 +85,57 @@ def test_packed_counters_prove_encode_once(reference):
     assert packed.queue_bytes > 0
     # edge allocations are per *new element*, far below one per event
     assert 0 < packed.edge_allocs < n_events / 4
+
+
+@pytest.mark.parametrize("wire", ["text", "frames", "frame-text", "events"])
+def test_ingest_stage_counts_every_event_on_every_path(reference, wire):
+    """The ingest stage is observed per batch or frame, yet counts each event.
+
+    ``!binary`` frames and ``submit_event`` used to skip the stage; the
+    text path observed it once per line.  Now each path sums its ingest
+    time and observes it once per ``batch_size`` events or frame, and
+    after the stream's final barrier the counter equals
+    ``events_ingested``.
+    """
+    text, expected = reference
+    batch_size = 16
+    config = ServiceConfig(
+        n_shards=2, workers="inline", batch_size=batch_size, flush_interval=0,
+    )
+    out = io.StringIO()
+    with RaceDetectionService(config) as service:
+        # re-registering an existing family returns it
+        histogram = service.tracer.registry.histogram(
+            "stage_latency_seconds", "", labels=("stage",)
+        )
+        if wire == "events":
+            for line in text.splitlines():
+                service.submit_event(parse_event(line))
+            races = [format_race(seq, r) for seq, r in service.barrier()]
+        else:
+            if wire == "text":
+                service.handle_stream(io.StringIO(text), out)
+            else:
+                buf = io.BytesIO()
+                if wire == "frames":
+                    for frame in iter_packed_frames(io.StringIO(text), 32):
+                        buf.write(pack_frame(FRAME_EVENTS, frame))
+                else:
+                    buf.write(pack_frame(FRAME_TEXT, text.encode("utf-8")))
+                buf.seek(0)
+                service.handle_stream(iter(["!binary\n"]), out, binary=buf)
+            races = [
+                line for line in out.getvalue().splitlines()
+                if line.startswith("race ")
+            ]
+        events = service.engine.events_ingested
+        counts = service.tracer.stage_counts()
+        observations = histogram.labels("ingest").count
+    assert sorted(races) == expected
+    assert events == len(text.splitlines())
+    assert counts["ingest"] == events
+    # one histogram observation per batch (or frame), not per event
+    assert 0 < observations <= -(-events // batch_size) + 1
 
 
 def test_binary_request_on_text_only_stream_is_an_error():
